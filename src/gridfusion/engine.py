@@ -36,6 +36,15 @@ DEFAULT_FEATURES = (19, 20, 21, 26, 30, 34, 38, 42, 46, 51, 52, 53)
 
 MONOTONE_SLACK = 1e-12
 
+# World plans every robot's walk this many ticks ahead; a run draws at most
+# this many uniforms per robot past its end.
+PLAN_TICKS = 32
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (True would otherwise count as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -56,28 +65,30 @@ class RunConfig:
     step_seconds: float = 1.0
 
     def validate(self) -> "RunConfig":
-        if not isinstance(self.side_count, (int, np.integer)) or self.side_count < 1:
+        if not _is_int(self.side_count) or self.side_count < 1:
             raise ConfigError(f"side_count must be a positive integer, got {self.side_count!r}")
         if not self.spacing > 0:
             raise ConfigError(f"spacing must be positive, got {self.spacing!r}")
-        if not isinstance(self.robot_count, (int, np.integer)) or self.robot_count < 1:
+        if not _is_int(self.robot_count) or self.robot_count < 1:
             raise ConfigError(f"robot_count must be a positive integer, got {self.robot_count!r}")
         if not 0.5 < self.level < 1.0:
             raise ConfigError(f"level must lie in (0.5, 1), got {self.level!r}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not isinstance(self.max_steps, (int, np.integer)) or self.max_steps < 1:
+        if not _is_int(self.max_steps) or self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.carry not in CARRY_MODES:
             raise ConfigError(f"carry must be one of {CARRY_MODES}, got {self.carry!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.comm_radius < 0:
+        if not self.comm_radius >= 0:
             raise ConfigError(f"comm_radius must be >= 0, got {self.comm_radius!r}")
-        if any(k < 0 for k in self.snapshot_steps):
-            raise ConfigError("snapshot_steps must be non-negative")
+        if any(not _is_int(k) or k < 0 for k in self.snapshot_steps):
+            raise ConfigError(
+                f"snapshot_steps must be non-negative integers, got {self.snapshot_steps!r}"
+            )
         if not self.step_seconds > 0:
             raise ConfigError(f"step_seconds must be positive, got {self.step_seconds!r}")
         self.resolve_features()
@@ -102,9 +113,12 @@ class RunConfig:
                 raise ConfigError(f"circle radius must be >= 0, got {radius}")
             return occupancy.circle_nodes(self.side_count, cx, cy, radius)
         try:
-            nodes = tuple(int(s) for s in spec)
-        except (TypeError, ValueError) as exc:
+            ids = tuple(spec)
+        except TypeError as exc:
             raise ConfigError(f"features must be node ids or a circle tag, got {spec!r}") from exc
+        if not all(_is_int(s) for s in ids):
+            raise ConfigError(f"features must be node ids or a circle tag, got {spec!r}")
+        nodes = tuple(int(s) for s in ids)
         node_count = self.side_count * self.side_count
         bad = [s for s in nodes if not 1 <= s <= node_count]
         if bad:
@@ -145,8 +159,8 @@ def build_comm_graph(step: int, positions, grid: spatial.SpatialGrid, comm_radiu
     groups = []
     if comm_radius < grid.spacing:
         by_node = {}
-        for idx, node in enumerate(positions):
-            by_node.setdefault(int(node), []).append(idx + 1)
+        for robot_id, node in enumerate(np.asarray(positions).tolist(), start=1):
+            by_node.setdefault(node, []).append(robot_id)
         for node, members in sorted(by_node.items()):
             if len(members) < 2:
                 continue
@@ -206,7 +220,15 @@ class RunTrace:
 
 
 class World:
-    """Mutable state of one run; robots live in flat arrays for speed."""
+    """Mutable state of one run; robots live in flat arrays for speed.
+
+    A robot's walk depends only on its own stream and the grid, so World
+    plans every robot's positions for a block of ticks at once and marks the
+    ticks where something can happen: a robot lands on a feature it did not
+    know when the block was planned (masks only grow, so this finds every
+    sensing), or, in consensus mode, two robots are within communication
+    range. Every other tick only moves the robots to their planned nodes.
+    """
 
     def __init__(self, grid, field_, config: RunConfig, robots, streams):
         if len(robots) != config.robot_count or len(streams) != config.robot_count:
@@ -215,7 +237,6 @@ class World:
         self.field = field_
         self.config = config
         self.transition = spatial.build_transition_matrix(grid)
-        self.supports = mobility.transition_supports(self.transition)
         self.streams = list(streams)
         self.positions = np.array([r.node for r in robots], dtype=np.int64)
         if self.positions.min() < 1 or self.positions.max() > grid.node_count:
@@ -224,6 +245,10 @@ class World:
         for r in robots:
             if r.belief.level != config.level or r.belief.size != grid.node_count:
                 raise ConfigError("robot beliefs must match the configured level and grid")
+        self._off_field = ~field_.mask
+        if (self.masks & self._off_field).any():
+            # sensing marks features only, so only fusion can break this later
+            raise ConfigError("robot beliefs must mark feature nodes only")
         self.altitudes = tuple(r.altitude for r in robots)
         self.k = 0
         self.encounters = []
@@ -231,6 +256,13 @@ class World:
         self._f_ref = field_.f_ref
         self._carried = self._pmf_rows() if config.carry == "chernoff" else None
         self.dh = self._opinion_distances()
+        self._record_row = self._frozen_distances()
+        self._choices = mobility.choice_table(grid).tolist()
+        self._counts = [0, *(grid.degrees + 1).tolist()]
+        self._robots = np.arange(len(self.positions))
+        self._plan = np.empty((0, len(self.positions)), dtype=np.int64)
+        self._senses = self._meets = []
+        self._cursor = 0
 
     @classmethod
     def from_config(cls, config: RunConfig) -> "World":
@@ -263,15 +295,11 @@ class World:
             for idx in range(len(self.positions))
         ]
 
-    def _pmf_rows(self) -> np.ndarray:
+    def _pmf_rows(self, masks=None) -> np.ndarray:
+        """Occupancy PMF of each mask row (default: every robot's mask)."""
         level = self.config.level
-        vals = np.where(self.masks, level, 1.0 - level)
+        vals = np.where(self.masks if masks is None else masks, level, 1.0 - level)
         return vals / vals.sum(axis=1, keepdims=True)
-
-    def _pmf_row(self, idx: int) -> np.ndarray:
-        level = self.config.level
-        vals = np.where(self.masks[idx], level, 1.0 - level)
-        return vals / vals.sum()
 
     def opinions(self) -> np.ndarray:
         """Current per-robot opinion PMFs, one row per robot."""
@@ -284,100 +312,172 @@ class World:
             return hellinger_batch(self._carried, self._f_ref)
         return hellinger_batch(self._pmf_rows(), self._f_ref)
 
+    def _frozen_distances(self) -> np.ndarray:
+        row = self.dh.copy()
+        row.flags.writeable = False
+        return row
+
     def tick(self) -> HellingerRecord:
-        """Advance one step and return the per-robot distance record."""
-        cfg = self.config
+        """Advance one step and return the per-robot distance record.
+
+        The record's distances are shared with later records until some
+        robot's distance changes.
+        """
+        if self._cursor == len(self._plan):
+            self._plan_block()
+        t = self._cursor
+        self._cursor += 1
         step_ = self.k + 1
-        field_mask = self.field.mask
+        self.positions = self._plan[t]
+        if self._senses[t] or self._meets[t]:
+            self._event_tick(step_, self._senses[t], self._meets[t])
+        self.k = step_
+        return HellingerRecord(step=step_, distances=self._record_row)
+
+    def _plan_block(self) -> None:
+        """Plan the next block of positions and find its event ticks.
+
+        A planned sensing is a (robot, node) landing on a feature the robot
+        did not know at planning time; fusion may teach it the feature
+        before it lands, so the event tick checks again.
+        """
+        remaining = self.config.max_steps - self.k
+        length = min(PLAN_TICKS, remaining) if remaining > 0 else PLAN_TICKS
+        choices, counts = self._choices, self._counts
+        walks = []
+        for node, stream in zip(self.positions.tolist(), self.streams):
+            walks.append([(node := choices[node][int(u * counts[node])])
+                          for u in stream.take(length).tolist()])
+        self._plan = np.array(walks, dtype=np.int64).T.copy()
+        landing = self._plan - 1
+        ticks, robots = np.nonzero(self.field.mask[landing] & ~self.masks[self._robots, landing])
+        self._senses = [[] for _ in range(length)]
+        for t, a, col in zip(ticks.tolist(), robots.tolist(), landing[ticks, robots].tolist()):
+            self._senses[t].append((a, col))
+        if self.config.mode == "consensus" and len(self.positions) > 1:
+            self._meets = self._meetings(landing).tolist()
+        else:
+            self._meets = [False] * length
+        self._cursor = 0
+
+    def _meetings(self, landing: np.ndarray) -> np.ndarray:
+        """Planned ticks where two robots are in range, by build_comm_graph's rule."""
+        grid, radius = self.grid, self.config.comm_radius
+        if radius < grid.spacing:
+            nodes = np.sort(landing, axis=1)
+            return (nodes[:, 1:] == nodes[:, :-1]).any(axis=1)
+        x = (landing % grid.side_count) * grid.spacing
+        y = (landing // grid.side_count) * grid.spacing
+        near = ((x[:, :, None] - x[:, None, :]) ** 2
+                + (y[:, :, None] - y[:, None, :]) ** 2) <= radius**2
+        near[:, self._robots, self._robots] = False
+        return near.any(axis=(1, 2))
+
+    def _event_tick(self, step_: int, senses: list, meets: bool) -> None:
+        """Sense at the planned new features, then fuse every encounter group."""
+        masks = self.masks
         changed = []
-
-        for idx in range(len(self.positions)):
-            node = mobility.sample_next(int(self.positions[idx]), self.supports, self.streams[idx])
-            self.positions[idx] = node
-            if field_mask[node - 1] and not self.masks[idx, node - 1]:
-                self.masks[idx, node - 1] = True
-                changed.append(idx)
-
-        if self._carried is not None:
-            for idx in changed:
-                self._carried[idx] = self._pmf_row(idx)
-
-        if cfg.mode == "consensus":
-            graph, groups = build_comm_graph(step_, self.positions, self.grid, cfg.comm_radius)
+        for a, col in senses:
+            if not masks[a, col]:
+                masks[a, col] = True
+                changed.append(a)
+        if self._carried is not None and changed:
+            self._carried[changed] = self._pmf_rows(masks[changed])
+        if meets:
+            graph, groups = build_comm_graph(
+                step_, self.positions, self.grid, self.config.comm_radius
+            )
             for node, members in groups:
                 self.encounters.append(Encounter(step=step_, node=node, robots=members))
-            if graph.neighbor_sets:
-                changed.extend(self._fuse(graph))
-
+                changed += self._fuse_group(graph, members)
         if changed:
             self._refresh_distances(sorted(set(changed)), step_)
 
-        self.k = step_
-        return HellingerRecord(step=step_, distances=self.dh.copy())
+    def _fuse_group(self, graph: CommGraph, members: tuple) -> list:
+        """Chernoff-fuse one encounter group simultaneously; returns the
+        indices of the robots whose opinion may have changed.
 
-    def _fuse(self, graph: CommGraph) -> list:
-        """Chernoff-fuse every robot with its neighbors, simultaneously.
-
-        Fusion inputs are this tick's post-sensing opinions; the threshold and
-        merge write-back (union of occupied sets) is applied only after every
-        robot's fused PMF is computed.
+        Fusion inputs are this tick's post-sensing opinions, and groups are
+        disjoint, so fusing group by group equals fusing all at once. The
+        threshold and merge write-back (union of occupied sets) is applied
+        after every member's fused PMF is computed.
         """
-        opinion_cache = {}
+        idx = [b - 1 for b in members]
+        # Identical inputs are skipped: chernoff_fuse returns each one
+        # unchanged, thresholding an occupancy PMF returns its own mask, and
+        # a carried opinion never exceeds nominal off its mask.
+        state = self.masks if self._carried is None else self._carried
+        first = state[idx[0]].tobytes()
+        if all(state[i].tobytes() == first for i in idx[1:]):
+            return []
+        masks = self.masks[idx]
+        opinions = self._pmf_rows(masks) if self._carried is None else self._carried[idx]
+        if self.config.comm_radius < self.grid.spacing:
+            fused = self._fuse_clique(opinions)
+        else:
+            row_of = dict(zip(members, opinions))
+            fused = []
+            for a in members:
+                nbrs = graph.neighbor_sets[a]
+                weights = fusion.metropolis_weights(
+                    a, {b: len(graph.neighbor_sets[b]) for b in nbrs}
+                )
+                fused.append(fusion.chernoff_fuse(
+                    [(row_of[b], w) for b, w in sorted(weights.items())]
+                ))
+            fused = np.array(fused)
+        merged = masks | (fused > self._f_nom)
+        grew = [i for i, g in zip(idx, (merged != masks).any(axis=1)) if g]
+        if grew:
+            outside = (merged & self._off_field).any(axis=1)
+            if outside.any():
+                raise EngineInvariantError(
+                    f"robot {members[int(np.argmax(outside))]} marked a node outside the "
+                    f"feature set (seed={self.config.seed}, step={graph.step})"
+                )
+            self.masks[idx] = merged
+        if self._carried is None:
+            return grew
+        # a merge that changed the occupancy vector refreshes the carried
+        # opinion from it; only an uninformative fusion carries the raw
+        # fused PMF forward
+        self._carried[idx] = fused
+        if grew:
+            self._carried[grew] = self._pmf_rows(self.masks[grew])
+        return idx
 
-        def opinion(robot_id: int) -> np.ndarray:
-            idx = robot_id - 1
-            if self._carried is not None:
-                return self._carried[idx]
-            if idx not in opinion_cache:
-                opinion_cache[idx] = self._pmf_row(idx)
-            return opinion_cache[idx]
+    def _fuse_clique(self, opinions: np.ndarray) -> np.ndarray:
+        """Fused PMF of each member of a co-located group, one row each, or
+        one row shared by all.
 
-        pending_masks = {}
-        pending_carried = {}
-        for robot_id, nbrs in graph.neighbor_sets.items():
-            weights = fusion.metropolis_weights(
-                robot_id, {b: len(graph.neighbor_sets[b]) for b in nbrs}
-            )
-            fused = fusion.chernoff_fuse(
-                [(opinion(b), w) for b, w in sorted(weights.items())]
-            )
-            idx = robot_id - 1
-            # threshold (strict exceedance of the nominal PMF) + merge (union)
-            merged = self.masks[idx] | (fused > self._f_nom)
-            if not np.array_equal(merged, self.masks[idx]):
-                pending_masks[idx] = merged
-            if self._carried is not None:
-                pending_carried[idx] = fused
-        for idx, mask in pending_masks.items():
-            self.masks[idx] = mask
-        for idx, fused in pending_carried.items():
-            # a merge that changed the occupancy vector refreshes the carried
-            # opinion from it; only an uninformative fusion carries the raw
-            # fused PMF forward
-            self._carried[idx] = self._pmf_row(idx) if idx in pending_masks else fused
+        Every member of a clique of g gives 1/g to each neighbor and the rest
+        to itself. When the rest equals 1/g bitwise (g = 2, 4, 8, ...) all
+        members fuse the same weighted list, so it is fused once.
+        """
+        g = len(opinions)
+        weights = fusion.metropolis_weights(1, {b: g - 1 for b in range(2, g + 1)})
+        own, other = weights.self_weight, weights.weights[2]
+        if own == other:
+            return fusion.chernoff_fuse([(f, own) for f in opinions])
+        return np.array([
+            fusion.chernoff_fuse([(f, own if j == i else other) for j, f in enumerate(opinions)])
+            for i in range(g)
+        ])
+
+    def _refresh_distances(self, indices: list, step_: int) -> None:
         if self._carried is not None:
-            return sorted(set(pending_masks) | set(pending_carried))
-        return sorted(pending_masks)
-
-    def _refresh_distances(self, indices, step_: int) -> None:
-        ref_mask = self.field.mask
-        for idx in indices:
-            if np.any(self.masks[idx] & ~ref_mask):
+            new = hellinger_batch(self._carried[indices], self._f_ref)
+        else:
+            new = hellinger_batch(self._pmf_rows(self.masks[indices]), self._f_ref)
+            rose = new > self.dh[indices] + MONOTONE_SLACK
+            if rose.any():
+                j = int(np.argmax(rose))
                 raise EngineInvariantError(
-                    f"robot {idx + 1} marked a node outside the feature set "
-                    f"(seed={self.config.seed}, step={step_})"
+                    f"robot {indices[j] + 1} distance rose from {self.dh[indices[j]]} to "
+                    f"{new[j]} (seed={self.config.seed}, step={step_})"
                 )
-            if self._carried is not None:
-                row = self._carried[idx:idx + 1]
-            else:
-                row = self._pmf_row(idx)[None, :]
-            new = hellinger_batch(row, self._f_ref)[0]
-            if self._carried is None and new > self.dh[idx] + MONOTONE_SLACK:
-                raise EngineInvariantError(
-                    f"robot {idx + 1} distance rose from {self.dh[idx]} to {new} "
-                    f"(seed={self.config.seed}, step={step_})"
-                )
-            self.dh[idx] = new
+        self.dh[indices] = new
+        self._record_row = self._frozen_distances()
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -399,16 +499,20 @@ def run(config: RunConfig) -> RunTrace:
     if 0 in snapshot_at:
         snapshots[0] = world.opinions()
 
+    last = None
     while convergence_step is None and world.k < cfg.max_steps:
         record = world.tick()
         rows.append(record.distances)
-        for idx, dist in enumerate(record.distances):
-            if robot_first[idx] is None and dist < eps:
-                robot_first[idx] = record.step
+        if record.distances is not last:
+            # a shared row means no distance changed, so nothing new converged
+            last = record.distances
+            for idx, dist in enumerate(last):
+                if robot_first[idx] is None and dist < eps:
+                    robot_first[idx] = record.step
+            if bool(np.all(last < eps)):
+                convergence_step = record.step
         if record.step in snapshot_at:
             snapshots[record.step] = world.opinions()
-        if bool(np.all(record.distances < eps)):
-            convergence_step = record.step
 
     return RunTrace(
         seed=cfg.seed,

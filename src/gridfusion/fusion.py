@@ -81,7 +81,7 @@ def chernoff_fuse(opinions) -> np.ndarray:
         if weight > 0.0:
             active.append((pmf, weight))
     first = active[0][0]
-    if all(np.array_equal(pmf, first) for pmf, _ in active[1:]):
+    if all((pmf == first).all() for pmf, _ in active[1:]):
         # identical opinions (or weight 1 on one): the pool is the input
         # itself, so skip the log/exp round trip. The exponentials can land
         # one ulp above the input, which would trip strict-threshold

@@ -39,22 +39,29 @@ def hellinger_batch(pmfs: np.ndarray, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if pmfs.ndim != 2 or pmfs.shape[1] != g.shape[0]:
         raise ValueError(f"support sizes differ: {pmfs.shape} vs {g.shape}")
-    rho = np.clip(np.sqrt(pmfs * g).sum(axis=1), 0.0, 1.0)
+    rho = np.minimum(np.maximum(np.sqrt(pmfs * g).sum(axis=1), 0.0), 1.0)
     dist = np.sqrt(1.0 - rho)
-    dist[np.all(pmfs == g, axis=1)] = 0.0
+    dist[(pmfs == g).all(axis=1)] = 0.0
     return dist
 
 
 @dataclass(frozen=True)
 class HellingerRecord:
-    """Per-robot distances to the reference PMF at one time step."""
+    """Per-robot distances to the reference PMF at one time step.
+
+    The distances are stored read-only. A read-only float array is kept as
+    is, so records of steps where nothing changed can share one row.
+    """
 
     step: int
     distances: np.ndarray
 
     def __post_init__(self):
-        distances = np.array(self.distances, dtype=float)
-        distances.flags.writeable = False
+        distances = self.distances
+        if not (isinstance(distances, np.ndarray) and distances.dtype == float
+                and not distances.flags.writeable):
+            distances = np.array(distances, dtype=float)
+            distances.flags.writeable = False
         object.__setattr__(self, "distances", distances)
 
 

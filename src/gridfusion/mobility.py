@@ -8,8 +8,9 @@ Randomness contract (traces are portable across any implementation of it):
 * Each stream is consumed as a sequence of float64 uniforms in [0, 1).
   Placement draws one uniform per robot in id order and maps it to
   ``floor(u * S) + 1``. Each movement step draws one uniform and picks entry
-  ``floor(u * (d + 1))`` from the node's choice list (self first, then
-  neighbors in ascending node id).
+  ``floor(u * (d + 1))`` from the node's choice list: the node itself and its
+  d lattice neighbors, in ascending node id (node 10 on the 8x8 grid has the
+  list ``[2, 9, 10, 11, 18]``).
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ class RngStream:
         self._next += 1
         return value
 
+    def take(self, n: int) -> np.ndarray:
+        """The next n uniforms, exactly as n calls of :meth:`uniform` return them."""
+        out = np.empty(n)
+        filled = 0
+        while filled < n:
+            if self._next >= self._buffer.size:
+                self._buffer = self.generator.random(UNIFORM_BLOCK)
+                self._next = 0
+            count = min(n - filled, self._buffer.size - self._next)
+            out[filled:filled + count] = self._buffer[self._next:self._next + count]
+            self._next += count
+            filled += count
+        return out
+
 
 @dataclass(frozen=True)
 class RobotState:
@@ -70,6 +85,22 @@ def transition_supports(transition_matrix: np.ndarray) -> tuple:
     return tuple(
         np.flatnonzero(row > 0) + 1 for row in np.asarray(transition_matrix)
     )
+
+
+def choice_table(grid) -> np.ndarray:
+    """Choice lists of the lazy uniform walk, read off ``grid.neighbors``.
+
+    Row i of the (S + 1) x 5 int64 table holds node i's choice list (the node
+    itself and its neighbors, ascending) followed by zero padding; row 0 is
+    all zeros, so the table is indexed by 1-based node id. The rows equal
+    ``transition_supports(build_transition_matrix(grid))`` without building
+    the S x S matrix.
+    """
+    table = np.zeros((grid.node_count + 1, 5), dtype=np.int64)
+    for node, nbrs in enumerate(grid.neighbors, start=1):
+        choices = sorted((node, *nbrs))
+        table[node, :len(choices)] = choices
+    return table
 
 
 def sample_next(node: int, supports: tuple, rng: RngStream) -> int:

@@ -44,6 +44,11 @@ def test_config_rejects_bad_fields():
         dict(carry="raw"),
         dict(seed=-1),
         dict(comm_radius=-0.1),
+        dict(comm_radius=float("nan")),
+        dict(robot_count=True),
+        dict(max_steps=True),
+        dict(snapshot_steps=(True,)),
+        dict(features=(1.5,)),
         dict(snapshot_steps=(-1,)),
         dict(step_seconds=0.0),
         dict(features=(0, 19)),
@@ -287,4 +292,13 @@ def test_world_rejects_mismatched_robots():
     ]
     with pytest.raises(ConfigError):
         World(grid, field, cfg, bad_level,
+              [RngStream.from_seed(0, a) for a in (1, 2)])
+    off_field = np.zeros(64, dtype=bool)
+    off_field[0] = True  # node 1 carries no feature
+    false_positive = [
+        RobotState(1, 1, OccupancyVector(off_field, 0.8)),
+        RobotState(2, 1, nominal_occupancy(64, 0.8)),
+    ]
+    with pytest.raises(ConfigError):
+        World(grid, field, cfg, false_positive,
               [RngStream.from_seed(0, a) for a in (1, 2)])

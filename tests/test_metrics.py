@@ -116,6 +116,11 @@ def test_converged_rejects_bad_epsilon():
 
 
 def test_record_distances_read_only():
-    rec = HellingerRecord(2, np.array([0.1, 0.2]))
+    source = np.array([0.1, 0.2])
+    rec = HellingerRecord(2, source)
     with pytest.raises(ValueError):
         rec.distances[0] = 0.5
+    source[0] = 0.5  # a writable input is copied, so the record keeps 0.1
+    assert rec.distances.tolist() == [0.1, 0.2]
+    source.flags.writeable = False
+    assert HellingerRecord(3, source).distances is source
