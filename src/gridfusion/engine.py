@@ -37,7 +37,7 @@ DEFAULT_FEATURES = (19, 20, 21, 26, 30, 34, 38, 42, 46, 51, 52, 53)
 MONOTONE_SLACK = 1e-12
 
 # World plans every robot's walk this many ticks ahead; a run draws at most
-# this many uniforms per robot past its end.
+# PLAN_TICKS - 1 uniforms per robot past its end.
 PLAN_TICKS = 32
 
 
@@ -226,8 +226,10 @@ class World:
     plans every robot's positions for a block of ticks at once and marks the
     ticks where something can happen: a robot lands on a feature it did not
     know when the block was planned (masks only grow, so this finds every
-    sensing), or, in consensus mode, two robots are within communication
-    range. Every other tick only moves the robots to their planned nodes.
+    sensing), or, in consensus mode, two robots share a node. With a
+    comm_radius of at least the grid spacing every consensus tick is an
+    event tick. Every other tick only moves the robots to their planned
+    nodes.
     """
 
     def __init__(self, grid, field_, config: RunConfig, robots, streams):
@@ -354,24 +356,15 @@ class World:
         self._senses = [[] for _ in range(length)]
         for t, a, col in zip(ticks.tolist(), robots.tolist(), landing[ticks, robots].tolist()):
             self._senses[t].append((a, col))
-        if self.config.mode == "consensus" and len(self.positions) > 1:
-            self._meets = self._meetings(landing).tolist()
-        else:
+        if self.config.mode != "consensus" or len(self.positions) < 2:
             self._meets = [False] * length
-        self._cursor = 0
-
-    def _meetings(self, landing: np.ndarray) -> np.ndarray:
-        """Planned ticks where two robots are in range, by build_comm_graph's rule."""
-        grid, radius = self.grid, self.config.comm_radius
-        if radius < grid.spacing:
+        elif self.config.comm_radius < self.grid.spacing:
             nodes = np.sort(landing, axis=1)
-            return (nodes[:, 1:] == nodes[:, :-1]).any(axis=1)
-        x = (landing % grid.side_count) * grid.spacing
-        y = (landing // grid.side_count) * grid.spacing
-        near = ((x[:, :, None] - x[:, None, :]) ** 2
-                + (y[:, :, None] - y[:, None, :]) ** 2) <= radius**2
-        near[:, self._robots, self._robots] = False
-        return near.any(axis=(1, 2))
+            self._meets = (nodes[:, 1:] == nodes[:, :-1]).any(axis=1).tolist()
+        else:
+            # a wider radius leaves the in-range test to build_comm_graph
+            self._meets = [True] * length
+        self._cursor = 0
 
     def _event_tick(self, step_: int, senses: list, meets: bool) -> None:
         """Sense at the planned new features, then fuse every encounter group."""
@@ -412,9 +405,10 @@ class World:
             return []
         masks = self.masks[idx]
         opinions = self._pmf_rows(masks) if self._carried is None else self._carried[idx]
+        fused = None
         if self.config.comm_radius < self.grid.spacing:
             fused = self._fuse_clique(opinions)
-        else:
+        if fused is None:
             row_of = dict(zip(members, opinions))
             fused = []
             for a in members:
@@ -446,9 +440,9 @@ class World:
             self._carried[grew] = self._pmf_rows(self.masks[grew])
         return idx
 
-    def _fuse_clique(self, opinions: np.ndarray) -> np.ndarray:
-        """Fused PMF of each member of a co-located group, one row each, or
-        one row shared by all.
+    def _fuse_clique(self, opinions: np.ndarray):
+        """One fused PMF shared by every member of a co-located group, or
+        None when the members' weight lists differ.
 
         Every member of a clique of g gives 1/g to each neighbor and the rest
         to itself. When the rest equals 1/g bitwise (g = 2, 4, 8, ...) all
@@ -456,13 +450,10 @@ class World:
         """
         g = len(opinions)
         weights = fusion.metropolis_weights(1, {b: g - 1 for b in range(2, g + 1)})
-        own, other = weights.self_weight, weights.weights[2]
-        if own == other:
-            return fusion.chernoff_fuse([(f, own) for f in opinions])
-        return np.array([
-            fusion.chernoff_fuse([(f, own if j == i else other) for j, f in enumerate(opinions)])
-            for i in range(g)
-        ])
+        own = weights.self_weight
+        if own != weights.weights[2]:
+            return None
+        return fusion.chernoff_fuse([(f, own) for f in opinions])
 
     def _refresh_distances(self, indices: list, step_: int) -> None:
         if self._carried is not None:
