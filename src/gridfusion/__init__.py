@@ -5,7 +5,7 @@ from .engine import DEFAULT_FEATURES, CommGraph, RunConfig, RunTrace, World, run
 from .errors import CompositeSizeError, ConfigError, EngineInvariantError
 from .fusion import FusionWeights, chernoff_fuse, merge_occupancy, metropolis_weights, threshold_fused
 from .metrics import HellingerRecord, bhattacharyya, converged, hellinger
-from .mobility import RngStream, RobotState, initialize_robots, step
+from .mobility import RngStream, RobotState, initialize_robots
 from .occupancy import (
     FeatureField,
     OccupancyVector,
@@ -62,6 +62,5 @@ __all__ = [
     "sense_and_update",
     "stationary_distribution",
     "stationary_from_degrees",
-    "step",
     "threshold_fused",
 ]

@@ -18,10 +18,11 @@ from .occupancy import FeatureField
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """Flags that override RunConfig fields; each dest is the field's name."""
     p.add_argument("--config", type=Path, help="YAML config file; flags override its fields")
-    p.add_argument("--grid-size", type=int, help="nodes per grid side")
+    p.add_argument("--grid-size", dest="side_count", type=int, help="nodes per grid side")
     p.add_argument("--spacing", type=float, help="node spacing in meters")
-    p.add_argument("--lbar", type=float, help="occupied level in (0.5, 1)")
+    p.add_argument("--lbar", dest="level", type=float, help="occupied level in (0.5, 1)")
     p.add_argument("--features", type=str,
                    help="feature nodes '19,20,21' or 'circle:cx,cy,r'")
     p.add_argument("--epsilon", type=float, help="Hellinger convergence threshold")
@@ -37,36 +38,24 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
 
+# flags whose text is parsed here rather than by argparse, so that a bad value
+# is a ConfigError
+_FLAG_PARSERS = {
+    "features": harness.parse_features,
+    "snapshot_steps": lambda text: harness.parse_ints(text, "snapshot steps"),
+}
+
+
 def _build_config(args, robot_count: int, mode: str) -> RunConfig:
     if args.config:
         config, _ = harness.load_config(args.config)
     else:
         config = RunConfig()
-    overrides = {}
-    if args.grid_size is not None:
-        overrides["side_count"] = args.grid_size
-    if args.spacing is not None:
-        overrides["spacing"] = args.spacing
-    if args.lbar is not None:
-        overrides["level"] = args.lbar
-    if args.features is not None:
-        overrides["features"] = harness.parse_features(args.features)
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.max_steps is not None:
-        overrides["max_steps"] = args.max_steps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.carry is not None:
-        overrides["carry"] = args.carry
-    if args.comm_radius is not None:
-        overrides["comm_radius"] = args.comm_radius
-    if args.snapshot_steps is not None:
-        overrides["snapshot_steps"] = tuple(
-            int(k) for k in args.snapshot_steps.split(",") if k.strip()
-        )
-    if args.step_seconds is not None:
-        overrides["step_seconds"] = args.step_seconds
+    overrides = {
+        f.name: _FLAG_PARSERS.get(f.name, lambda value: value)(getattr(args, f.name))
+        for f in dataclasses.fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
     overrides["robot_count"] = robot_count
     overrides["mode"] = mode
     return dataclasses.replace(config, **overrides).validate()
@@ -110,17 +99,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    robot_counts = [int(n) for n in str(args.robots).split(",") if n.strip()]
+    robot_counts = harness.parse_ints(args.robots, "--robots")
     if not robot_counts:
         raise ConfigError("--robots must list at least one robot count")
     modes = list(MODES) if args.mode == "both" else [args.mode]
     config = _build_config(args, robot_counts[0], modes[0])
-    if args.config:
-        _, batch_section = harness.load_config(args.config)
-    else:
-        batch_section = {}
-    runs = args.runs if args.runs is not None else int(batch_section.get("runs", 100))
-    workers = args.workers if args.workers is not None else int(batch_section.get("workers", 1))
+    batch_section = harness.load_config(args.config)[1] if args.config else {}
+    runs = args.runs if args.runs is not None else batch_section.get("runs", 100)
+    workers = args.workers if args.workers is not None else batch_section.get("workers", 1)
     summary, traces_by_block = harness.run_sweep(
         config, robot_counts, modes, runs, config.seed, workers
     )
@@ -221,6 +207,9 @@ def main(argv=None) -> int:
         return 2
     except EngineInvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

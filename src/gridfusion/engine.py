@@ -8,20 +8,23 @@ tick read pre-fusion beliefs and are applied simultaneously, so robot
 numbering cannot change the outcome.
 
 Two opinion-carry modes exist. In the canonical "occupancy" mode a robot's
-opinion is always the PMF of its current occupancy vector, which makes each
-robot's Hellinger distance to the reference non-increasing. The "chernoff"
-mode carries the raw fused PMF forward instead (refreshing it from the
-occupancy vector whenever sensing changes that vector); it reproduces the
-small distance bumps that raw fusion arithmetic causes and is kept for
-comparison.
+opinion is always the PMF of its current occupancy vector, so its Hellinger
+distance to the reference depends only on how many features it knows;
+RunConfig.validate rejects the dense maps on which that distance can rise,
+so it never rises in a run. The "chernoff" mode carries the raw fused PMF
+forward instead (refreshing it from the occupancy vector whenever sensing
+changes that vector); it reproduces the small distance bumps that raw fusion
+arithmetic causes and is kept for comparison.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fusion, mobility, occupancy, spatial
 from .errors import ConfigError, EngineInvariantError
@@ -46,6 +49,11 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a bool; NaN passes and fails the range tests."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a single run needs; validated before use."""
@@ -65,6 +73,9 @@ class RunConfig:
     step_seconds: float = 1.0
 
     def validate(self) -> "RunConfig":
+        for name in ("spacing", "level", "epsilon", "comm_radius", "step_seconds"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not _is_int(self.side_count) or self.side_count < 1:
             raise ConfigError(f"side_count must be a positive integer, got {self.side_count!r}")
         if not self.spacing > 0:
@@ -85,14 +96,43 @@ class RunConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.comm_radius >= 0:
             raise ConfigError(f"comm_radius must be >= 0, got {self.comm_radius!r}")
-        if any(not _is_int(k) or k < 0 for k in self.snapshot_steps):
+        if (not isinstance(self.snapshot_steps, (tuple, list))
+                or any(not _is_int(k) or k < 0 for k in self.snapshot_steps)):
             raise ConfigError(
                 f"snapshot_steps must be non-negative integers, got {self.snapshot_steps!r}"
             )
         if not self.step_seconds > 0:
             raise ConfigError(f"step_seconds must be positive, got {self.step_seconds!r}")
-        self.resolve_features()
+        features = self.resolve_features()
+        if self.carry == "occupancy":
+            self._check_monotone_distance(len(set(features)))
         return self
+
+    def _check_monotone_distance(self, f: int) -> None:
+        """Reject a map on which the occupancy carry's distance can rise.
+
+        In the occupancy carry a robot that knows m of the f features has a
+        distance H(m) to the reference that depends on m alone. The engine
+        asserts that no robot's distance rises, which holds only while H is
+        non-increasing in m; dense maps (at level 0.8, more than about a third
+        of the nodes) break it. H(m) follows from the two PMF levels in
+        closed form.
+        """
+        s, level = self.side_count * self.side_count, self.level
+        low = 1.0 - level
+        reference = f * level + (s - f) * low
+        cross = math.sqrt(level * low)
+        lowest = math.inf
+        for m in range(f + 1):
+            known = m * level + (s - m) * low
+            overlap = (m * level + (f - m) * cross + (s - f) * low) / math.sqrt(known * reference)
+            distance = math.sqrt(max(1.0 - overlap, 0.0))
+            lowest = min(lowest, distance)
+            if distance > lowest + MONOTONE_SLACK:
+                raise ConfigError(
+                    f"with {f} features on {s} nodes at level {level} the occupancy carry's "
+                    f"distance rises as features are found; use fewer features or --carry chernoff"
+                )
 
     def resolve_features(self) -> tuple:
         """Feature node list: either an explicit id list or a 'circle:cx,cy,r' tag."""
@@ -154,43 +194,35 @@ def build_comm_graph(step: int, positions, grid: spatial.SpatialGrid, comm_radiu
     Returns (CommGraph, groups) where groups lists (node, robot_ids) for every
     connected set of two or more robots, ordered by lowest robot id.
     """
-    n = len(positions)
     neighbor_sets = {}
     groups = []
     if comm_radius < grid.spacing:
         by_node = {}
         for robot_id, node in enumerate(np.asarray(positions).tolist(), start=1):
             by_node.setdefault(node, []).append(robot_id)
-        for node, members in sorted(by_node.items()):
+        for node, members in by_node.items():
             if len(members) < 2:
                 continue
             for a in members:
                 neighbor_sets[a] = frozenset(b for b in members if b != a)
             groups.append((node, tuple(members)))
-        groups.sort(key=lambda item: item[1][0])
     else:
         coords = np.array([grid.node_position(int(node)) for node in positions])
         diff = coords[:, None, :] - coords[None, :, :]
         adj = (diff**2).sum(axis=2) <= comm_radius**2
         np.fill_diagonal(adj, False)
-        for idx in range(n):
-            nbrs = np.flatnonzero(adj[idx])
+        for idx, row in enumerate(adj):
+            nbrs = np.flatnonzero(row)
             if nbrs.size:
                 neighbor_sets[idx + 1] = frozenset(int(b) + 1 for b in nbrs)
-        seen = set()
-        for idx in range(n):
-            if idx in seen or (idx + 1) not in neighbor_sets:
-                continue
-            stack, comp = [idx], {idx}
-            while stack:
-                i = stack.pop()
-                for j in np.flatnonzero(adj[i]):
-                    if j not in comp:
-                        comp.add(int(j))
-                        stack.append(int(j))
-            seen |= comp
-            members = tuple(sorted(i + 1 for i in comp))
-            groups.append((int(positions[members[0] - 1]), members))
+        from scipy.sparse.csgraph import connected_components  # slow import, rare path
+
+        labels = connected_components(sp.csr_array(adj), directed=False)[1]
+        for label in np.unique(labels):
+            members = tuple(int(i) + 1 for i in np.flatnonzero(labels == label))
+            if len(members) > 1:
+                groups.append((int(positions[members[0] - 1]), members))
+    groups.sort(key=lambda item: item[1][0])
     return CommGraph(step=step, neighbor_sets=neighbor_sets), groups
 
 
@@ -251,13 +283,12 @@ class World:
         if (self.masks & self._off_field).any():
             # sensing marks features only, so only fusion can break this later
             raise ConfigError("robot beliefs must mark feature nodes only")
-        self.altitudes = tuple(r.altitude for r in robots)
         self.k = 0
         self.encounters = []
         self._f_nom = field_.f_nom
         self._f_ref = field_.f_ref
         self._carried = self._pmf_rows() if config.carry == "chernoff" else None
-        self.dh = self._opinion_distances()
+        self.dh = hellinger_batch(self.opinions(), self._f_ref)
         self._record_row = self._frozen_distances()
         self._choices = mobility.choice_table(grid).tolist()
         self._counts = [0, *(grid.degrees + 1).tolist()]
@@ -292,7 +323,6 @@ class World:
                 robot_id=idx + 1,
                 node=int(self.positions[idx]),
                 belief=occupancy.OccupancyVector(self.masks[idx], self.config.level),
-                altitude=self.altitudes[idx],
             )
             for idx in range(len(self.positions))
         ]
@@ -308,11 +338,6 @@ class World:
         if self._carried is not None:
             return self._carried.copy()
         return self._pmf_rows()
-
-    def _opinion_distances(self) -> np.ndarray:
-        if self._carried is not None:
-            return hellinger_batch(self._carried, self._f_ref)
-        return hellinger_batch(self._pmf_rows(), self._f_ref)
 
     def _frozen_distances(self) -> np.ndarray:
         row = self.dh.copy()

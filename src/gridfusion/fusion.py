@@ -28,27 +28,25 @@ class FusionWeights:
 
 
 def metropolis_weights(robot_id: int, neighbor_degrees) -> FusionWeights:
-    """Degree-based weights for one fusion step.
+    """Max-degree Metropolis-Hastings weights for one fusion step.
 
     neighbor_degrees maps each current neighbor b to its own neighbor count
     |N_b| (at least 1, since b sees this robot). Each neighbor gets
-    1 / (1 + |N_b|); the remainder stays on the robot itself. With an empty
-    map the robot keeps weight 1 and fusion is a no-op.
+    1 / (1 + max(|N_a|, |N_b|)), where |N_a| = len(neighbor_degrees); the
+    remainder stays on the robot itself. The weights are symmetric and
+    non-negative on any graph (Xiao, Boyd & Lall, IPSN 2005); on a clique
+    every neighbor gets 1 / g. With an empty map the robot keeps weight 1
+    and fusion is a no-op.
     """
+    own_count = len(neighbor_degrees)
     weights = {}
     for b, count in neighbor_degrees.items():
         if b == robot_id:
             raise ValueError("neighbor_degrees must not include the robot itself")
         if count < 1:
             raise ValueError(f"neighbor {b} has neighbor count {count}, expected >= 1")
-        weights[b] = 1.0 / (1 + count)
-    self_weight = 1.0 - sum(weights.values())
-    if self_weight < 0.0:
-        raise ValueError(
-            "neighbor weights exceed 1; the communication neighborhood is not "
-            "a clique, which this weighting rule does not support"
-        )
-    weights[robot_id] = self_weight
+        weights[b] = 1.0 / (1 + max(own_count, count))
+    weights[robot_id] = 1.0 - sum(weights.values())
     return FusionWeights(robot_id=robot_id, weights=weights)
 
 
@@ -112,13 +110,12 @@ def merge_occupancy(
 ) -> OccupancyVector:
     """Combine a robot's previous vector with the fused one: a node becomes
     occupied when either exceeds the nominal level, otherwise it keeps its
-    previous value. For two-valued vectors this is the union of occupied sets,
-    so fusion order among co-located robots cannot change the result.
+    previous value. For two-valued vectors against the all-unoccupied nominal
+    this is the union of occupied sets, the merge the engine applies, so
+    fusion order among co-located robots cannot change the result.
     """
     if not theta_prev.size == theta_cher.size == theta_nom.size:
         raise ValueError("occupancy vectors must share one grid size")
     if not theta_prev.level == theta_cher.level == theta_nom.level:
         raise ValueError("occupancy vectors must share one level")
-    nom_vals = theta_nom.values
-    raised = (theta_prev.values > nom_vals) | (theta_cher.values > nom_vals)
-    return OccupancyVector(raised | theta_prev.mask, theta_prev.level)
+    return OccupancyVector(theta_prev.mask | theta_cher.mask, theta_prev.level)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .engine import MODES, RunConfig, RunTrace, run
+from .engine import MODES, RunConfig, RunTrace, _is_int, run
 from .errors import ConfigError
 
 CONFIG_FORMAT = "gridfusion-config/1"
@@ -54,10 +54,10 @@ def run_batch(config: RunConfig, runs: int, master_seed: int, workers: int = 1) 
     seed regardless of worker count. A run that trips an internal invariant
     aborts the batch; the offending seed is part of the exception message.
     """
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if not _is_int(runs) or runs < 1:
+        raise ConfigError(f"runs must be a positive integer, got {runs!r}")
+    if not _is_int(workers) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     config.validate()
     jobs = [(config, derive_run_seed(master_seed, i)) for i in range(runs)]
     if workers == 1:
@@ -191,12 +191,6 @@ def write_trace_csv(trace: RunTrace, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_empty_trace_csv(robot_count: int, path: Path) -> None:
-    """Header-only trace file (a run that produced no records)."""
-    header = "k," + ",".join(f"dh_{a}" for a in range(1, robot_count + 1))
-    Path(path).write_text(TRACE_TAG + "\n" + header + "\n")
-
-
 def write_pmf_csv(pmf: np.ndarray, side_count: int, path: Path, step, robot) -> None:
     """Grid-shaped PMF snapshot; row r of the file is grid row r (south first)."""
     pmf = np.asarray(pmf, dtype=float)
@@ -266,15 +260,20 @@ def emit_outputs(traces_by_block, summary: McSummary, out_dir, side_count: int,
 # configuration files
 
 
+def parse_ints(text: str, what: str) -> tuple:
+    """Comma-separated integers, e.g. '4,8,12'; empty items are skipped."""
+    try:
+        return tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be comma-separated integers, got {text!r}") from exc
+
+
 def parse_features(text: str):
     """CLI/file feature spec: '19,20,21' node list or 'circle:cx,cy,r' tag."""
     text = text.strip()
     if text.startswith("circle:"):
         return text
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"features must be node ids or a circle tag, got {text!r}") from exc
+    return parse_ints(text, "features")
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -291,11 +290,8 @@ def config_from_dict(d: dict) -> RunConfig:
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(d)
-    if "features" in kwargs and not isinstance(kwargs["features"], str):
-        kwargs["features"] = tuple(int(s) for s in kwargs["features"])
-    if "snapshot_steps" in kwargs:
-        kwargs["snapshot_steps"] = tuple(int(k) for k in kwargs["snapshot_steps"])
+    # YAML lists become tuples; validate rejects every entry that is not an id
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
     return RunConfig(**kwargs).validate()
 
 

@@ -25,11 +25,12 @@ def bhattacharyya(f: np.ndarray, g: np.ndarray) -> float:
 
 
 def hellinger(f: np.ndarray, g: np.ndarray) -> float:
-    """Hellinger distance sqrt(1 - bhattacharyya(f, g)), in [0, 1].
+    """Hellinger distance sqrt(1 - bhattacharyya(f, g)), in [0, 1]: the
+    one-row case of :func:`hellinger_batch`, which the engine runs.
 
     Equals exactly 0.0 for bitwise-identical PMFs.
     """
-    return float(np.sqrt(1.0 - bhattacharyya(f, g)))
+    return float(hellinger_batch(np.asarray(f, dtype=float)[None], g)[0])
 
 
 def hellinger_batch(pmfs: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ Randomness contract (traces are portable across any implementation of it):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,12 +47,7 @@ class RngStream:
         )))
 
     def uniform(self) -> float:
-        if self._next >= self._buffer.size:
-            self._buffer = self.generator.random(UNIFORM_BLOCK)
-            self._next = 0
-        value = self._buffer[self._next]
-        self._next += 1
-        return value
+        return self.take(1)[0]
 
     def take(self, n: int) -> np.ndarray:
         """The next n uniforms, exactly as n calls of :meth:`uniform` return them."""
@@ -71,12 +66,11 @@ class RngStream:
 
 @dataclass(frozen=True)
 class RobotState:
-    """A robot's id, current node (1-based), belief, and informational altitude."""
+    """A robot's id, current node (1-based) and belief."""
 
     robot_id: int
     node: int
     belief: OccupancyVector
-    altitude: float = 0.0
 
 
 def transition_supports(transition_matrix: np.ndarray) -> tuple:
@@ -109,29 +103,15 @@ def sample_next(node: int, supports: tuple, rng: RngStream) -> int:
     return int(choices[int(rng.uniform() * choices.size)])
 
 
-def step(state: RobotState, transition_matrix: np.ndarray, rng: RngStream) -> RobotState:
-    """Advance one movement step; the belief is untouched by motion."""
-    row = np.asarray(transition_matrix)[state.node - 1]
-    choices = np.flatnonzero(row > 0) + 1
-    nxt = int(choices[int(rng.uniform() * choices.size)])
-    return replace(state, node=nxt)
-
-
 def initialize_robots(count: int, node_count: int, rng: RngStream, level: float = 0.8) -> list:
     """Place robots 1..count at independent uniform nodes with nominal beliefs.
 
     Consumes one uniform per robot from the placement stream, in id order.
-    The altitude tag mirrors the robot id (purely informational).
     """
     if count < 1:
         raise ValueError(f"robot count must be >= 1, got {count}")
     nominal = nominal_occupancy(node_count, level)
     return [
-        RobotState(
-            robot_id=a,
-            node=int(rng.uniform() * node_count) + 1,
-            belief=nominal,
-            altitude=float(a),
-        )
-        for a in range(1, count + 1)
+        RobotState(robot_id=a, node=int(u * node_count) + 1, belief=nominal)
+        for a, u in enumerate(rng.take(count).tolist(), start=1)
     ]

@@ -63,14 +63,12 @@ def pmf_from_occupancy(theta: OccupancyVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureField:
-    """Ground truth: the occupied node set plus reference/nominal beliefs."""
+    """Ground truth: the occupied node set plus the reference and nominal PMFs."""
 
     node_count: int
     occupied: frozenset
     level: float = 0.8
     mask: np.ndarray = field(init=False, repr=False)
-    theta_ref: OccupancyVector = field(init=False, repr=False)
-    theta_nom: OccupancyVector = field(init=False, repr=False)
     f_ref: np.ndarray = field(init=False, repr=False)
     f_nom: np.ndarray = field(init=False, repr=False)
 
@@ -85,20 +83,13 @@ class FeatureField:
             )
         object.__setattr__(self, "occupied", occupied)
         mask = np.zeros(self.node_count, dtype=bool)
-        for s in occupied:
-            mask[s - 1] = True
+        mask[[s - 1 for s in occupied]] = True
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
-        theta_ref = OccupancyVector(mask, self.level)
-        theta_nom = nominal_occupancy(self.node_count, self.level)
-        object.__setattr__(self, "theta_ref", theta_ref)
-        object.__setattr__(self, "theta_nom", theta_nom)
-        f_ref = pmf_from_occupancy(theta_ref)
-        f_nom = pmf_from_occupancy(theta_nom)
-        f_ref.flags.writeable = False
-        f_nom.flags.writeable = False
-        object.__setattr__(self, "f_ref", f_ref)
-        object.__setattr__(self, "f_nom", f_nom)
+        for name, marked in (("f_ref", mask), ("f_nom", np.zeros_like(mask))):
+            pmf = pmf_from_occupancy(OccupancyVector(marked, self.level))
+            pmf.flags.writeable = False
+            object.__setattr__(self, name, pmf)
 
 
 def sense_and_update(theta: OccupancyVector, node: int, field_: FeatureField) -> OccupancyVector:

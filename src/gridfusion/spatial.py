@@ -25,7 +25,6 @@ class SpatialGrid:
     side_count: int
     spacing: float
     node_count: int
-    edges: frozenset
     degrees: np.ndarray
     neighbors: tuple
 
@@ -53,7 +52,6 @@ def build_grid(side_count: int, spacing: float) -> SpatialGrid:
     c = int(side_count)
     n = c * c
     neighbors = []
-    edges = set()
     for i in range(1, n + 1):
         row, col = (i - 1) // c + 1, (i - 1) % c + 1
         nbrs = []
@@ -66,14 +64,12 @@ def build_grid(side_count: int, spacing: float) -> SpatialGrid:
         if row < c:
             nbrs.append(i + c)
         neighbors.append(tuple(nbrs))
-        edges.update((i, j) if i < j else (j, i) for j in nbrs)
     degrees = np.array([len(nbrs) for nbrs in neighbors], dtype=np.int64)
     degrees.flags.writeable = False
     return SpatialGrid(
         side_count=c,
         spacing=float(spacing),
         node_count=n,
-        edges=frozenset(edges),
         degrees=degrees,
         neighbors=tuple(neighbors),
     )
@@ -126,48 +122,17 @@ def stationary_distribution(matrix, tol: float = 1e-12, max_iterations: int = 20
 def check_irreducible(matrix) -> bool:
     """True iff the support graph of a square stochastic matrix is strongly connected.
 
-    Pure reachability search (breadth-first, forward and reverse); no numerics.
-    Accepts dense arrays or scipy CSR/CSC sparse matrices.
+    Counts the strong components of the graph of positive entries; no
+    numerics. Accepts dense arrays or scipy sparse matrices.
     """
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     if n == 0:
         return False
-    forward = _support_lists(matrix)
-    if not _reaches_all(forward, n):
-        return False
-    reverse = [[] for _ in range(n)]
-    for i, row in enumerate(forward):
-        for j in row:
-            reverse[j].append(i)
-    return _reaches_all(reverse, n)
+    from scipy.sparse.csgraph import connected_components  # slow import, analysis only
 
-
-def _support_lists(matrix) -> list:
-    if sp.issparse(matrix):
-        csr = matrix.tocsr()
-        return [
-            csr.indices[csr.indptr[i]:csr.indptr[i + 1]].tolist()
-            for i in range(matrix.shape[0])
-        ]
-    arr = np.asarray(matrix)
-    return [np.flatnonzero(arr[i] > 0).tolist() for i in range(arr.shape[0])]
-
-
-def _reaches_all(adj: list, n: int) -> bool:
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        i = stack.pop()
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                count += 1
-                stack.append(j)
-    return count == n
+    return connected_components(sp.csr_array(matrix > 0), connection="strong")[0] == 1
 
 
 @dataclass(frozen=True)
@@ -217,7 +182,7 @@ def build_composite_chain(
     max_states; this is a verification tool, never used by the simulation loop.
     """
     if robot_count < 1:
-        raise ValueError(f"robot_count must be >= 1, got {robot_count}")
+        raise ConfigError(f"robot_count must be >= 1, got {robot_count}")
     s = transition_matrix.shape[0]
     states = s**robot_count
     if states > max_states:

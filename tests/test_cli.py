@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gridfusion.cli import main
 from gridfusion.harness import save_config
 from gridfusion.engine import RunConfig
@@ -95,3 +97,39 @@ def test_analyze_composite_cap_is_a_config_style_failure(capsys):
     code = main(["analyze", "--grid-size", "8", "--robots", "4"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_wide_comm_radius_runs(tmp_path):
+    code = main([
+        "run", "--robots", "8", "--comm-radius", "1.0", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv,yaml_text", [
+    (["run", "--snapshot-steps", "1.5"], None),
+    (["batch", "--robots", "4,x"], None),
+    (["run", "--grid-size", "2", "--features", "circle:1,1,1"], None),
+    (["run"], "run: {features: [a]}"),
+    (["run"], "run: {spacing: abc}"),
+    (["run"], "run: {features: [19.5, 20]}"),
+    (["run"], "run: {snapshot_steps: [2.7]}"),
+    (["batch"], "run: {}\nbatch: {runs: x}"),
+])
+def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, yaml_text):
+    argv = [*argv, "--out", str(tmp_path / "o")]
+    if yaml_text is not None:
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text("format: gridfusion-config/1\n" + yaml_text + "\n")
+        argv += ["--config", str(config_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "Traceback" not in err
+
+
+def test_unwritable_output_exits_1_without_traceback(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "--max-steps", "5", "--out", str(blocker / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

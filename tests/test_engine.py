@@ -56,10 +56,25 @@ def test_config_rejects_bad_fields():
         dict(features="ring:1,2,3"),
         dict(features="circle:1,2"),
         dict(features="circle:a,b,c"),
+        dict(spacing="abc"),
+        dict(level=None),
+        dict(epsilon=True),
+        dict(snapshot_steps=5),
+        dict(features=(19.5, 20)),
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):
             RunConfig(**overrides).validate()
+
+
+def test_config_rejects_maps_where_occupancy_distance_rises():
+    # at level 0.8 on 8x8 a robot's occupancy-carry distance rises with its
+    # first finds once 23 or more of the 64 nodes are features
+    dense = RunConfig(features=tuple(range(1, 24)), robot_count=8, max_steps=200)
+    with pytest.raises(ConfigError, match="--carry chernoff"):
+        dense.validate()
+    run(dataclasses.replace(dense, features=tuple(range(1, 23))))
+    run(dataclasses.replace(dense, carry="chernoff"))
 
 
 def test_config_circle_tag_matches_default_set():

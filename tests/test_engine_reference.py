@@ -150,6 +150,12 @@ CASES = [
     for carry in ("occupancy", "chernoff")
     for radius in (0.7, 1.5)
     for seed in (3, 4)
+] + [
+    # eight robots in range of each other form non-clique groups
+    RunConfig(robot_count=8, carry=carry, comm_radius=radius, max_steps=600,
+              snapshot_steps=SNAPSHOTS)
+    for carry in ("occupancy", "chernoff")
+    for radius in (1.0, 1.5)
 ]
 
 

@@ -8,7 +8,7 @@ from gridfusion.fusion import (
     metropolis_weights,
     threshold_fused,
 )
-from gridfusion.occupancy import FeatureField, OccupancyVector
+from gridfusion.occupancy import FeatureField, OccupancyVector, nominal_occupancy
 
 
 def random_pmf(rng, size):
@@ -62,10 +62,13 @@ def test_weights_reject_bad_neighbor_counts():
         metropolis_weights(1, {1: 1})
 
 
-def test_weights_reject_non_clique_overweight():
-    # a hub with three leaves each claiming one neighbor: 3 * 1/2 > 1
-    with pytest.raises(ValueError):
-        metropolis_weights(1, {2: 1, 3: 1, 4: 1})
+def test_weights_hub_case_is_max_degree():
+    # a hub with three leaves: every edge weighs 1/(1 + max(3, 1)) = 1/4 from
+    # both ends, so the weights are symmetric and none is negative
+    hub = metropolis_weights(1, {2: 1, 3: 1, 4: 1})
+    assert hub.weights == {2: 0.25, 3: 0.25, 4: 0.25, 1: 0.25}
+    leaf = metropolis_weights(2, {1: 3})
+    assert leaf.weights == {1: 0.25, 2: 0.75}
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +195,9 @@ def test_merge_reference_is_absorbing():
     field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
     rng = np.random.default_rng(5)
     sub = field.mask & (rng.random(64) < 0.5)
-    out = merge_occupancy(field.theta_ref, OccupancyVector(sub, 0.8), field.theta_nom)
+    out = merge_occupancy(
+        OccupancyVector(field.mask, 0.8), OccupancyVector(sub, 0.8), nominal_occupancy(64, 0.8)
+    )
     assert np.array_equal(out.mask, field.mask)
 
 

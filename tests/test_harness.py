@@ -19,7 +19,6 @@ from gridfusion.harness import (
     run_sweep,
     save_config,
     summarize_block,
-    write_empty_trace_csv,
     write_pmf_csv,
     write_trace_csv,
 )
@@ -101,15 +100,6 @@ def test_trace_csv_round_trip(tmp_path):
     steps, dists = read_trace_csv(path)
     assert steps.tolist() == list(range(trace.distances.shape[0]))
     assert np.array_equal(dists, trace.distances)  # repr round-trips exactly
-
-
-def test_empty_trace_is_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    write_empty_trace_csv(4, path)
-    lines = path.read_text().splitlines()
-    assert lines == ["# gridfusion-trace v1", "k,dh_1,dh_2,dh_3,dh_4"]
-    steps, dists = read_trace_csv(path)
-    assert steps.size == 0 and dists.size == 0
 
 
 def test_reference_pmf_snapshot_grid_shaped(tmp_path):

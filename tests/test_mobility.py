@@ -3,13 +3,11 @@ import pytest
 
 from gridfusion.mobility import (
     RngStream,
-    RobotState,
     initialize_robots,
+    choice_table,
     sample_next,
-    step,
     transition_supports,
 )
-from gridfusion.occupancy import nominal_occupancy
 from gridfusion.spatial import build_grid, build_transition_matrix, stationary_from_degrees
 
 
@@ -43,61 +41,50 @@ def test_stream_rejects_negative_seed():
         RngStream.from_seed(0, -2)
 
 
-def test_step_on_single_node_grid_stays_put():
-    p = build_transition_matrix(build_grid(1, 1.0))
-    state = RobotState(1, 1, nominal_occupancy(1, 0.8))
+def test_sample_next_on_single_node_grid_stays_put():
+    supports = transition_supports(build_transition_matrix(build_grid(1, 1.0)))
     rng = make_stream()
     for _ in range(20):
-        state = step(state, p, rng)
-        assert state.node == 1
-
-
-def test_step_leaves_belief_untouched():
-    p = build_transition_matrix(build_grid(3, 1.0))
-    belief = nominal_occupancy(9, 0.8)
-    state = RobotState(1, 5, belief)
-    nxt = step(state, p, make_stream())
-    assert nxt.belief is belief
-    assert nxt.robot_id == 1
+        assert sample_next(1, supports, rng) == 1
 
 
 def test_corner_node_frequencies_match_transition_row():
     # from the 8x8 corner the walk picks uniformly among {stay, east, north}
-    p = build_transition_matrix(build_grid(8, 0.7))
+    supports = transition_supports(build_transition_matrix(build_grid(8, 0.7)))
     rng = make_stream(123, 1)
-    state = RobotState(1, 1, nominal_occupancy(64, 0.8))
     counts = {1: 0, 2: 0, 9: 0}
     draws = 100_000
     for _ in range(draws):
-        counts[step(state, p, rng).node] += 1
+        counts[sample_next(1, supports, rng)] += 1
     for node, count in counts.items():
         assert abs(count / draws - 1 / 3) < 0.01, f"node {node}"
 
 
 def test_fixed_seed_reproduces_trajectory():
-    p = build_transition_matrix(build_grid(8, 0.7))
+    supports = transition_supports(build_transition_matrix(build_grid(8, 0.7)))
     walks = []
     for _ in range(2):
         rng = make_stream(55, 1)
-        state = RobotState(1, 10, nominal_occupancy(64, 0.8))
+        node = 10
         path = []
         for _ in range(100):
-            state = step(state, p, rng)
-            path.append(state.node)
+            node = sample_next(node, supports, rng)
+            path.append(node)
         walks.append(path)
     assert walks[0] == walks[1]
 
 
-def test_step_matches_low_level_sampler():
-    p = build_transition_matrix(build_grid(4, 1.0))
-    supports = transition_supports(p)
+def test_sample_next_matches_choice_table():
+    # the engine's planned walk indexes the choice table with the same uniform
+    grid = build_grid(4, 1.0)
+    supports = transition_supports(build_transition_matrix(grid))
+    table = choice_table(grid)
     rng_a, rng_b = make_stream(9, 1), make_stream(9, 1)
-    state = RobotState(1, 6, nominal_occupancy(16, 0.8))
+    node = 6
     for _ in range(200):
-        via_step = step(state, p, rng_a)
-        via_sampler = sample_next(state.node, supports, rng_b)
-        assert via_step.node == via_sampler
-        state = via_step
+        nxt = sample_next(node, supports, rng_a)
+        assert nxt == table[node, int(rng_b.uniform() * (grid.degrees[node - 1] + 1))]
+        node = nxt
 
 
 def test_initialize_robots_uniform_nominal():
@@ -148,10 +135,9 @@ def test_long_run_occupancy_matches_stationary():
 
 
 def test_distinct_robots_walk_independently():
-    p = build_transition_matrix(build_grid(8, 0.7))
+    supports = transition_supports(build_transition_matrix(build_grid(8, 0.7)))
     paths = []
     for key in (1, 2):
         rng = make_stream(4, key)
-        state = RobotState(key, 28, nominal_occupancy(64, 0.8))
-        paths.append(tuple(step(state, p, rng).node for _ in range(30)))
+        paths.append(tuple(sample_next(28, supports, rng) for _ in range(30)))
     assert paths[0] != paths[1]

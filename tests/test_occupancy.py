@@ -72,9 +72,8 @@ def test_pmf_from_occupancy_two_values_at_most():
 
 
 def test_feature_field_nominal_is_all_unoccupied(field):
-    assert not field.theta_nom.mask.any()
     assert np.all(field.f_nom == 1 / 64)
-    assert field.theta_ref.occupied_nodes() == tuple(sorted(DEFAULT_FEATURES))
+    assert tuple(np.flatnonzero(field.mask) + 1) == tuple(sorted(DEFAULT_FEATURES))
 
 
 def test_feature_field_rejects_out_of_range_nodes():
@@ -126,7 +125,7 @@ def test_sense_monotone_and_bounded_by_reference(field):
         node = int(rng.integers(1, 65))
         nxt = sense_and_update(theta, node, field)
         assert np.all(nxt.values >= theta.values)
-        assert np.all(nxt.values <= field.theta_ref.values)
+        assert np.all(nxt.values <= OccupancyVector(field.mask, 0.8).values)
         theta = nxt
 
 

@@ -4,7 +4,9 @@ Acceptance criterion 8 compares reruns within one commit, and the benchmark's
 golden answers pin convergence steps only. This test pins the sha256 of a
 whole ``run_sweep`` + ``emit_outputs`` tree (trace CSVs, PMF snapshots,
 summary JSON), so a change to the engine that moves any output byte fails
-here. Update ``EXPECTED_DIGEST`` only together with a file-format tag bump.
+here. ``EXPECTED_DIGEST`` pins the occupancy carry and
+``EXPECTED_CHERNOFF_DIGEST`` the chernoff carry, both recorded before the
+engine changed. Update them only together with a file-format tag bump.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ from gridfusion.harness import emit_outputs, run_sweep
 from gridfusion.occupancy import FeatureField
 
 EXPECTED_DIGEST = "81dd23696250aa7a41af419724cebb407c7a2b96e3f392eff96df286b9b81be5"
+EXPECTED_CHERNOFF_DIGEST = "a37e6340cc6c8eb39984fbbce6c7b3f0285814b497ec941319b88d8996a02182"
 
 MASTER_SEED = 11
 RUNS = 3
@@ -27,12 +30,12 @@ def tree_digest(root) -> str:
     return digest.hexdigest()
 
 
-def produce_tree(out_dir):
+def produce_tree(out_dir, carry="occupancy"):
     """Both modes at N = 1, 4, 16 co-located, plus N = 2 with a 0.7 m radius."""
     reference = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8).f_ref
     blocks = [
-        ("colocated", RunConfig(snapshot_steps=(0, 25, 50)), [1, 4, 16]),
-        ("radius", RunConfig(snapshot_steps=(0, 25, 50), comm_radius=0.7), [2]),
+        ("colocated", RunConfig(snapshot_steps=(0, 25, 50), carry=carry), [1, 4, 16]),
+        ("radius", RunConfig(snapshot_steps=(0, 25, 50), comm_radius=0.7, carry=carry), [2]),
     ]
     for name, config, robot_counts in blocks:
         summary, traces = run_sweep(
@@ -44,3 +47,8 @@ def produce_tree(out_dir):
 def test_output_tree_digest_is_pinned(tmp_path):
     produce_tree(tmp_path)
     assert tree_digest(tmp_path) == EXPECTED_DIGEST
+
+
+def test_chernoff_carry_output_tree_digest_is_pinned(tmp_path):
+    produce_tree(tmp_path, carry="chernoff")
+    assert tree_digest(tmp_path) == EXPECTED_CHERNOFF_DIGEST

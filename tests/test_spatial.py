@@ -30,7 +30,7 @@ def test_grid_8x8_degree_counts():
 def test_grid_single_node():
     grid = build_grid(1, 0.5)
     assert grid.node_count == 1
-    assert grid.edges == frozenset()
+    assert grid.neighbors == ((),)
     assert grid.degrees.tolist() == [0]
 
 
@@ -43,12 +43,15 @@ def test_grid_2x2_all_corners():
 @pytest.mark.parametrize("c", [1, 2, 3, 5, 8])
 def test_grid_edges_are_unit_lattice_steps(c):
     grid = build_grid(c, 1.0)
-    for i, j in grid.edges:
-        ri, ci = grid.node_row_col(i)
-        rj, cj = grid.node_row_col(j)
-        assert abs(ri - rj) + abs(ci - cj) == 1
-        assert i < j
-        assert j in grid.neighbors[i - 1] and i in grid.neighbors[j - 1]
+    for i, nbrs in enumerate(grid.neighbors, start=1):
+        assert list(nbrs) == sorted(nbrs)
+        for j in nbrs:
+            ri, ci = grid.node_row_col(i)
+            rj, cj = grid.node_row_col(j)
+            assert abs(ri - rj) + abs(ci - cj) == 1
+            assert i in grid.neighbors[j - 1]
+    # every lattice edge appears: 2c(c-1) of them, each listed from both ends
+    assert sum(len(nbrs) for nbrs in grid.neighbors) == 4 * c * (c - 1)
     # degree array consistent with neighbor lists
     assert all(len(grid.neighbors[i]) == grid.degrees[i] for i in range(grid.node_count))
 
