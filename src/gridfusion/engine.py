@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from . import fusion, mobility, occupancy, spatial
 from .errors import ConfigError, EngineInvariantError
-from .metrics import HellingerRecord, hellinger_batch
+from .metrics import hellinger_batch
 
 MODES = ("consensus", "no-consensus")
 CARRY_MODES = ("occupancy", "chernoff")
@@ -105,10 +105,10 @@ class RunConfig:
             raise ConfigError(f"step_seconds must be positive, got {self.step_seconds!r}")
         features = self.resolve_features()
         if self.carry == "occupancy":
-            self._check_monotone_distance(len(set(features)))
+            self._check_monotone_distance(set(features))
         return self
 
-    def _check_monotone_distance(self, f: int) -> None:
+    def _check_monotone_distance(self, features: set) -> None:
         """Reject a map on which the occupancy carry's distance can rise.
 
         In the occupancy carry a robot that knows m of the f features has a
@@ -116,9 +116,11 @@ class RunConfig:
         asserts that no robot's distance rises, which holds only while H is
         non-increasing in m; dense maps (at level 0.8, more than about a third
         of the nodes) break it. H(m) follows from the two PMF levels in
-        closed form.
+        closed form. A run whose starting distance H(0), computed as the
+        engine computes it, is below epsilon ends at step 0, so no distance
+        can rise and any map passes.
         """
-        s, level = self.side_count * self.side_count, self.level
+        s, level, f = self.side_count * self.side_count, self.level, len(features)
         low = 1.0 - level
         reference = f * level + (s - f) * low
         cross = math.sqrt(level * low)
@@ -129,6 +131,11 @@ class RunConfig:
             distance = math.sqrt(max(1.0 - overlap, 0.0))
             lowest = min(lowest, distance)
             if distance > lowest + MONOTONE_SLACK:
+                masks = np.zeros((2, s), dtype=bool)
+                masks[1, [node - 1 for node in features]] = True
+                pmfs = occupancy.pmf_rows(masks, level)
+                if hellinger_batch(pmfs[:1], pmfs[1])[0] < self.epsilon:
+                    return
                 raise ConfigError(
                     f"with {f} features on {s} nodes at level {level} the occupancy carry's "
                     f"distance rises as features are found; use fewer features or --carry chernoff"
@@ -172,27 +179,18 @@ class Encounter(NamedTuple):
     robots: tuple
 
 
-@dataclass(frozen=True)
-class CommGraph:
-    """Symmetric, irreflexive who-hears-whom relation at one time step."""
-
-    step: int
-    neighbor_sets: dict
-
-    def neighbors_of(self, robot_id: int) -> frozenset:
-        return self.neighbor_sets.get(robot_id, frozenset())
-
-
-def build_comm_graph(step: int, positions, grid: spatial.SpatialGrid, comm_radius: float):
-    """Comm graph plus encounter groups for the current positions.
+def build_comm_graph(positions, grid: spatial.SpatialGrid, comm_radius: float):
+    """Who hears whom, plus the encounter groups, for the current positions.
 
     positions is the 1-based node per robot, in robot-id order. With
     comm_radius below the grid spacing (the default 0), robots communicate
     exactly when co-located; larger radii connect robots whose node
     coordinates lie within comm_radius meters.
 
-    Returns (CommGraph, groups) where groups lists (node, robot_ids) for every
-    connected set of two or more robots, ordered by lowest robot id.
+    Returns (neighbor_sets, groups): neighbor_sets maps every robot id with a
+    neighbor to the frozenset of its neighbors' ids (symmetric, irreflexive),
+    and groups lists (node, robot_ids) for every connected set of two or more
+    robots, ordered by lowest robot id.
     """
     neighbor_sets = {}
     groups = []
@@ -223,7 +221,7 @@ def build_comm_graph(step: int, positions, grid: spatial.SpatialGrid, comm_radiu
             if len(members) > 1:
                 groups.append((int(positions[members[0] - 1]), members))
     groups.sort(key=lambda item: item[1][0])
-    return CommGraph(step=step, neighbor_sets=neighbor_sets), groups
+    return neighbor_sets, groups
 
 
 @dataclass
@@ -264,21 +262,23 @@ class World:
     nodes.
     """
 
-    def __init__(self, grid, field_, config: RunConfig, robots, streams):
-        if len(robots) != config.robot_count or len(streams) != config.robot_count:
-            raise ConfigError("robots and streams must match config.robot_count")
+    def __init__(self, grid, field_, config: RunConfig, positions, masks, streams):
+        """positions holds each robot's 1-based start node and masks its (N, S)
+        starting occupancy masks, both in robot-id order; both are copied."""
+        count = config.robot_count
+        self.positions = np.array(positions, dtype=np.int64)
+        if self.positions.shape != (count,) or len(streams) != count:
+            raise ConfigError("positions and streams must match config.robot_count")
+        if self.positions.min() < 1 or self.positions.max() > grid.node_count:
+            raise ConfigError("robot positions must lie on the grid")
+        self.masks = np.array(masks, dtype=bool)
+        if self.masks.shape != (count, grid.node_count):
+            raise ConfigError(f"masks must have shape ({count}, {grid.node_count})")
         self.grid = grid
         self.field = field_
         self.config = config
         self.transition = spatial.build_transition_matrix(grid)
         self.streams = list(streams)
-        self.positions = np.array([r.node for r in robots], dtype=np.int64)
-        if self.positions.min() < 1 or self.positions.max() > grid.node_count:
-            raise ConfigError("robot positions must lie on the grid")
-        self.masks = np.array([r.belief.mask for r in robots], dtype=bool)
-        for r in robots:
-            if r.belief.level != config.level or r.belief.size != grid.node_count:
-                raise ConfigError("robot beliefs must match the configured level and grid")
         self._off_field = ~field_.mask
         if (self.masks & self._off_field).any():
             # sensing marks features only, so only fusion can break this later
@@ -306,32 +306,16 @@ class World:
             occupied=frozenset(config.resolve_features()),
             level=config.level,
         )
+        count = config.robot_count
         placement = mobility.RngStream.from_seed(config.seed, 0)
-        robots = mobility.initialize_robots(
-            config.robot_count, grid.node_count, placement, level=config.level
-        )
-        streams = [
-            mobility.RngStream.from_seed(config.seed, a)
-            for a in range(1, config.robot_count + 1)
-        ]
-        return cls(grid, field_, config, robots, streams)
-
-    def robot_states(self) -> list:
-        """Snapshot of the robots as value objects (for inspection/tests)."""
-        return [
-            mobility.RobotState(
-                robot_id=idx + 1,
-                node=int(self.positions[idx]),
-                belief=occupancy.OccupancyVector(self.masks[idx], self.config.level),
-            )
-            for idx in range(len(self.positions))
-        ]
+        positions = mobility.initialize_robots(count, grid.node_count, placement)
+        masks = np.zeros((count, grid.node_count), dtype=bool)
+        streams = [mobility.RngStream.from_seed(config.seed, a) for a in range(1, count + 1)]
+        return cls(grid, field_, config, positions, masks, streams)
 
     def _pmf_rows(self, masks=None) -> np.ndarray:
         """Occupancy PMF of each mask row (default: every robot's mask)."""
-        level = self.config.level
-        vals = np.where(self.masks if masks is None else masks, level, 1.0 - level)
-        return vals / vals.sum(axis=1, keepdims=True)
+        return occupancy.pmf_rows(self.masks if masks is None else masks, self.config.level)
 
     def opinions(self) -> np.ndarray:
         """Current per-robot opinion PMFs, one row per robot."""
@@ -344,11 +328,11 @@ class World:
         row.flags.writeable = False
         return row
 
-    def tick(self) -> HellingerRecord:
-        """Advance one step and return the per-robot distance record.
+    def tick(self) -> np.ndarray:
+        """Advance one step and return the per-robot distances to the reference.
 
-        The record's distances are shared with later records until some
-        robot's distance changes.
+        The returned row is read-only and is the same object on later ticks
+        until some robot's distance changes.
         """
         if self._cursor == len(self._plan):
             self._plan_block()
@@ -359,7 +343,7 @@ class World:
         if self._senses[t] or self._meets[t]:
             self._event_tick(step_, self._senses[t], self._meets[t])
         self.k = step_
-        return HellingerRecord(step=step_, distances=self._record_row)
+        return self._record_row
 
     def _plan_block(self) -> None:
         """Plan the next block of positions and find its event ticks.
@@ -402,23 +386,24 @@ class World:
         if self._carried is not None and changed:
             self._carried[changed] = self._pmf_rows(masks[changed])
         if meets:
-            graph, groups = build_comm_graph(
-                step_, self.positions, self.grid, self.config.comm_radius
+            neighbor_sets, groups = build_comm_graph(
+                self.positions, self.grid, self.config.comm_radius
             )
             for node, members in groups:
                 self.encounters.append(Encounter(step=step_, node=node, robots=members))
-                changed += self._fuse_group(graph, members)
+                changed += self._fuse_group(neighbor_sets, members, step_)
         if changed:
             self._refresh_distances(sorted(set(changed)), step_)
 
-    def _fuse_group(self, graph: CommGraph, members: tuple) -> list:
+    def _fuse_group(self, neighbor_sets: dict, members: tuple, step_: int) -> list:
         """Chernoff-fuse one encounter group simultaneously; returns the
         indices of the robots whose opinion may have changed.
 
         Fusion inputs are this tick's post-sensing opinions, and groups are
-        disjoint, so fusing group by group equals fusing all at once. The
-        threshold and merge write-back (union of occupied sets) is applied
-        after every member's fused PMF is computed.
+        disjoint, so fusing group by group equals fusing all at once. After
+        every member's fused PMF is computed, each member unites its occupied
+        set with the nodes where its fused PMF exceeds the nominal one; that
+        need not be the union of the group's sets.
         """
         idx = [b - 1 for b in members]
         # Identical inputs are skipped: chernoff_fuse returns each one
@@ -437,9 +422,8 @@ class World:
             row_of = dict(zip(members, opinions))
             fused = []
             for a in members:
-                nbrs = graph.neighbor_sets[a]
                 weights = fusion.metropolis_weights(
-                    a, {b: len(graph.neighbor_sets[b]) for b in nbrs}
+                    a, {b: len(neighbor_sets[b]) for b in neighbor_sets[a]}
                 )
                 fused.append(fusion.chernoff_fuse(
                     [(row_of[b], w) for b, w in sorted(weights.items())]
@@ -452,7 +436,7 @@ class World:
             if outside.any():
                 raise EngineInvariantError(
                     f"robot {members[int(np.argmax(outside))]} marked a node outside the "
-                    f"feature set (seed={self.config.seed}, step={graph.step})"
+                    f"feature set (seed={self.config.seed}, step={step_})"
                 )
             self.masks[idx] = merged
         if self._carried is None:
@@ -517,18 +501,18 @@ def run(config: RunConfig) -> RunTrace:
 
     last = None
     while convergence_step is None and world.k < cfg.max_steps:
-        record = world.tick()
-        rows.append(record.distances)
-        if record.distances is not last:
+        row = world.tick()
+        rows.append(row)
+        if row is not last:
             # a shared row means no distance changed, so nothing new converged
-            last = record.distances
-            for idx, dist in enumerate(last):
+            last = row
+            for idx, dist in enumerate(row):
                 if robot_first[idx] is None and dist < eps:
-                    robot_first[idx] = record.step
-            if bool(np.all(last < eps)):
-                convergence_step = record.step
-        if record.step in snapshot_at:
-            snapshots[record.step] = world.opinions()
+                    robot_first[idx] = world.k
+            if bool(np.all(row < eps)):
+                convergence_step = world.k
+        if world.k in snapshot_at:
+            snapshots[world.k] = world.opinions()
 
     return RunTrace(
         seed=cfg.seed,

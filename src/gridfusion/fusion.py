@@ -1,5 +1,11 @@
 """Opinion fusion: Metropolis weights, log-domain Chernoff pooling, and the
-threshold-and-merge occupancy updates applied after an encounter."""
+occupancy merge applied after an encounter.
+
+After fusing, a robot marks occupied every node where the fused PMF strictly
+exceeds the nominal one and unites that set with its own. The result need not
+be the union of the whole group's sets: a node known to one member of a
+well-informed group can stay below nominal in the fused PMF.
+"""
 
 from __future__ import annotations
 
@@ -93,26 +99,16 @@ def chernoff_fuse(opinions) -> np.ndarray:
     return np.exp(log_f - log_norm)
 
 
-def threshold_fused(f_cher: np.ndarray, f_nom: np.ndarray, level: float) -> OccupancyVector:
-    """Re-discretize a fused PMF: occupied exactly where it strictly exceeds
-    the nominal PMF (ties count as unoccupied)."""
-    f_cher = np.asarray(f_cher, dtype=float)
-    f_nom = np.asarray(f_nom, dtype=float)
-    if f_cher.shape != f_nom.shape:
-        raise ValueError("fused and nominal PMFs must share one support size")
-    return OccupancyVector(f_cher > f_nom, level)
-
-
 def merge_occupancy(
     theta_prev: OccupancyVector,
     theta_cher: OccupancyVector,
     theta_nom: OccupancyVector,
 ) -> OccupancyVector:
-    """Combine a robot's previous vector with the fused one: a node becomes
-    occupied when either exceeds the nominal level, otherwise it keeps its
-    previous value. For two-valued vectors against the all-unoccupied nominal
-    this is the union of occupied sets, the merge the engine applies, so
-    fusion order among co-located robots cannot change the result.
+    """Combine a robot's previous vector with its thresholded fused one: a
+    node becomes occupied when either exceeds the nominal level, otherwise it
+    keeps its previous value. For two-valued vectors against the
+    all-unoccupied nominal this unites the two occupied sets, which is the
+    merge the engine applies with ``fused > f_nom`` as the second vector.
     """
     if not theta_prev.size == theta_cher.size == theta_nom.size:
         raise ValueError("occupancy vectors must share one grid size")

@@ -1,4 +1,4 @@
-"""Per-robot random-walk state and the seeded stochastic step.
+"""Seeded random streams, robot placement and the random-walk step.
 
 Randomness contract (traces are portable across any implementation of it):
 
@@ -15,11 +15,7 @@ Randomness contract (traces are portable across any implementation of it):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .occupancy import OccupancyVector, nominal_occupancy
 
 UNIFORM_BLOCK = 4096
 
@@ -64,15 +60,6 @@ class RngStream:
         return out
 
 
-@dataclass(frozen=True)
-class RobotState:
-    """A robot's id, current node (1-based) and belief."""
-
-    robot_id: int
-    node: int
-    belief: OccupancyVector
-
-
 def transition_supports(transition_matrix: np.ndarray) -> tuple:
     """Per-node choice lists for the uniform walk: 1-based ids of the positive
     entries of each row (the node itself plus its neighbors, ascending)."""
@@ -103,15 +90,11 @@ def sample_next(node: int, supports: tuple, rng: RngStream) -> int:
     return int(choices[int(rng.uniform() * choices.size)])
 
 
-def initialize_robots(count: int, node_count: int, rng: RngStream, level: float = 0.8) -> list:
-    """Place robots 1..count at independent uniform nodes with nominal beliefs.
+def initialize_robots(count: int, node_count: int, rng: RngStream) -> np.ndarray:
+    """Start nodes (1-based, int64) of robots 1..count, independent and uniform.
 
     Consumes one uniform per robot from the placement stream, in id order.
     """
     if count < 1:
         raise ValueError(f"robot count must be >= 1, got {count}")
-    nominal = nominal_occupancy(node_count, level)
-    return [
-        RobotState(robot_id=a, node=int(u * node_count) + 1, belief=nominal)
-        for a, u in enumerate(rng.take(count).tolist(), start=1)
-    ]
+    return (rng.take(count) * node_count).astype(np.int64) + 1

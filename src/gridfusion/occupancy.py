@@ -4,7 +4,8 @@ A robot's occupancy vector holds, for every grid node, either the occupied
 level (written lbar below, in (0.5, 1)) or the unoccupied level 1 - lbar.
 Storing a boolean mask plus the scalar level makes any other value
 unrepresentable. Normalizing the vector yields the robot's feature PMF, its
-opinion about where features sit.
+opinion about where features sit. The engine keeps every robot's mask as one
+row of an (N, S) boolean array and normalizes them all with :func:`pmf_rows`.
 """
 
 from __future__ import annotations
@@ -36,29 +37,21 @@ class OccupancyVector:
     def size(self) -> int:
         return self.mask.size
 
-    @property
-    def values(self) -> np.ndarray:
-        """Per-node levels: level where occupied, 1 - level elsewhere."""
-        return np.where(self.mask, self.level, 1.0 - self.level)
 
-    def occupied_nodes(self) -> tuple:
-        """Sorted 1-based ids of nodes currently believed occupied."""
-        return tuple(int(i) + 1 for i in np.flatnonzero(self.mask))
+def pmf_rows(masks: np.ndarray, level: float) -> np.ndarray:
+    """Normalize each row of an (N, S) occupancy mask array into a PMF.
 
-
-def nominal_occupancy(node_count: int, level: float) -> OccupancyVector:
-    """The all-unoccupied prior every robot starts from."""
-    return OccupancyVector(np.zeros(node_count, dtype=bool), level)
+    A row's denominator is at least S * (1 - level) > 0, so this never
+    divides by zero; an all-unoccupied row yields the uniform PMF.
+    """
+    vals = np.where(masks, level, 1.0 - level)
+    return vals / vals.sum(axis=1, keepdims=True)
 
 
 def pmf_from_occupancy(theta: OccupancyVector) -> np.ndarray:
-    """Normalize an occupancy vector into a PMF over nodes.
-
-    The denominator is at least S * (1 - level) > 0, so this never divides
-    by zero; an all-unoccupied vector yields the uniform PMF.
-    """
-    vals = theta.values
-    return vals / vals.sum()
+    """Normalize an occupancy vector into a PMF over nodes (one row of
+    :func:`pmf_rows`)."""
+    return pmf_rows(theta.mask[None], theta.level)[0]
 
 
 @dataclass(frozen=True)
@@ -87,22 +80,9 @@ class FeatureField:
         mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
         for name, marked in (("f_ref", mask), ("f_nom", np.zeros_like(mask))):
-            pmf = pmf_from_occupancy(OccupancyVector(marked, self.level))
+            pmf = pmf_rows(marked[None], self.level)[0]
             pmf.flags.writeable = False
             object.__setattr__(self, name, pmf)
-
-
-def sense_and_update(theta: OccupancyVector, node: int, field_: FeatureField) -> OccupancyVector:
-    """Perfect sensing at a node: raise the entry to the occupied level iff the
-    node carries a feature. Idempotent; never lowers an entry.
-    """
-    if not 1 <= node <= theta.size:
-        raise IndexError(f"node {node} outside [1, {theta.size}]")
-    if node not in field_.occupied or theta.mask[node - 1]:
-        return theta
-    mask = theta.mask.copy()
-    mask[node - 1] = True
-    return OccupancyVector(mask, theta.level)
 
 
 def circle_nodes(side_count: int, center_col: float, center_row: float, radius: float) -> tuple:

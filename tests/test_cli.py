@@ -99,6 +99,16 @@ def test_analyze_composite_cap_is_a_config_style_failure(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_full_map_converges_at_step_zero(tmp_path, capsys):
+    # every node is a feature, so the nominal PMF is the reference and the
+    # run ends before any find could raise a distance
+    code = main([
+        "run", "--grid-size", "2", "--features", "1,2,3,4", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 0
+    assert "converged at step 0" in capsys.readouterr().out
+
+
 def test_wide_comm_radius_runs(tmp_path):
     code = main([
         "run", "--robots", "8", "--comm-radius", "1.0", "--out", str(tmp_path / "o"),

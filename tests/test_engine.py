@@ -11,8 +11,8 @@ from gridfusion.engine import (
     run,
 )
 from gridfusion.errors import ConfigError
-from gridfusion.mobility import RngStream, RobotState
-from gridfusion.occupancy import FeatureField, OccupancyVector, nominal_occupancy
+from gridfusion.mobility import RngStream
+from gridfusion.occupancy import FeatureField
 from gridfusion.spatial import build_grid
 
 
@@ -77,6 +77,24 @@ def test_config_rejects_maps_where_occupancy_distance_rises():
     run(dataclasses.replace(dense, carry="chernoff"))
 
 
+def test_config_accepts_a_dense_map_whose_runs_end_at_step_zero():
+    dense = RunConfig(features=tuple(range(1, 24)), robot_count=2, carry="chernoff")
+    start = World.from_config(dense).dh[0]
+    with pytest.raises(ConfigError):
+        dataclasses.replace(dense, carry="occupancy", epsilon=start).validate()
+    above = dataclasses.replace(dense, carry="occupancy", epsilon=float(np.nextafter(start, 1)))
+    assert run(above).convergence_step == 0
+
+
+def test_config_accepts_a_full_map():
+    # every node is a feature, so the nominal PMF is the reference
+    for side in (1, 2, 3, 8):
+        full = RunConfig(side_count=side, features=tuple(range(1, side * side + 1)),
+                         epsilon=1e-300)
+        trace = run(full)
+        assert trace.convergence_step == 0 and trace.distances.tolist() == [[0.0] * 4]
+
+
 def test_config_circle_tag_matches_default_set():
     cfg = RunConfig(features="circle:4,5,2")
     assert cfg.resolve_features() == tuple(sorted(DEFAULT_FEATURES))
@@ -88,43 +106,41 @@ def test_config_circle_tag_matches_default_set():
 
 def test_comm_graph_colocated_clique():
     grid = build_grid(8, 0.7)
-    graph, groups = build_comm_graph(3, np.array([10, 10, 10, 44]), grid, 0.0)
-    assert graph.neighbors_of(1) == frozenset({2, 3})
-    assert graph.neighbors_of(2) == frozenset({1, 3})
-    assert graph.neighbors_of(4) == frozenset()
+    graph, groups = build_comm_graph(np.array([10, 10, 10, 44]), grid, 0.0)
+    assert graph == {1: frozenset({2, 3}), 2: frozenset({1, 3}), 3: frozenset({1, 2})}
     assert groups == [(10, (1, 2, 3))]
 
 
 def test_comm_graph_symmetric_irreflexive():
     grid = build_grid(8, 0.7)
-    graph, _ = build_comm_graph(0, np.array([5, 5, 9, 9, 9]), grid, 0.0)
-    for a, nbrs in graph.neighbor_sets.items():
+    graph, _ = build_comm_graph(np.array([5, 5, 9, 9, 9]), grid, 0.0)
+    assert sorted(graph) == [1, 2, 3, 4, 5]
+    for a, nbrs in graph.items():
         assert a not in nbrs
         for b in nbrs:
-            assert a in graph.neighbors_of(b)
+            assert a in graph[b]
 
 
 def test_comm_graph_radius_connects_adjacent_nodes():
     grid = build_grid(8, 0.7)
     # nodes 1 and 2 are one spacing apart; radius covers them
-    graph, groups = build_comm_graph(0, np.array([1, 2, 30]), grid, 0.7)
-    assert graph.neighbors_of(1) == frozenset({2})
-    assert graph.neighbors_of(3) == frozenset()
+    graph, groups = build_comm_graph(np.array([1, 2, 30]), grid, 0.7)
+    assert graph == {1: frozenset({2}), 2: frozenset({1})}
     assert groups == [(1, (1, 2))]
 
 
 def test_comm_graph_radius_chains_into_one_component():
     grid = build_grid(8, 0.7)
-    graph, groups = build_comm_graph(0, np.array([1, 2, 3]), grid, 0.7)
-    assert graph.neighbors_of(2) == frozenset({1, 3})
-    assert graph.neighbors_of(1) == frozenset({2})
+    graph, groups = build_comm_graph(np.array([1, 2, 3]), grid, 0.7)
+    assert graph[2] == frozenset({1, 3})
+    assert graph[1] == frozenset({2})
     assert len(groups) == 1 and groups[0][1] == (1, 2, 3)
 
 
 def test_comm_graph_small_radius_means_colocation():
     grid = build_grid(8, 0.7)
-    graph, _ = build_comm_graph(0, np.array([1, 2]), grid, 0.3)
-    assert graph.neighbor_sets == {}
+    graph, groups = build_comm_graph(np.array([1, 2]), grid, 0.3)
+    assert graph == {} and groups == []
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +174,46 @@ def test_fusion_unions_occupied_sets_through_a_tick():
     masks = np.zeros((2, 64), dtype=bool)
     masks[0, 19 - 1] = True
     masks[1, 20 - 1] = True
-    robots = [
-        RobotState(1, 36, OccupancyVector(masks[0], 0.8)),
-        RobotState(2, 36, OccupancyVector(masks[1], 0.8)),
-    ]
     streams = [RngStream.from_seed(seed, a) for a in (1, 2)]
-    world = World(grid, field, RunConfig(robot_count=2, seed=seed), robots, streams)
+    world = World(grid, field, RunConfig(robot_count=2, seed=seed), [36, 36], masks, streams)
     world.tick()
     assert len(world.encounters) == 1
     assert world.encounters[0].node not in DEFAULT_FEATURES
     for idx in range(2):
         assert (np.flatnonzero(world.masks[idx]) + 1).tolist() == [19, 20]
+
+
+def test_world_senses_exactly_the_features_it_lands_on():
+    grid = build_grid(8, 0.7)
+    field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
+    positions = np.array([36, 19, 1])
+    masks = np.zeros((3, 64), dtype=bool)
+    masks[1, 19 - 1] = True
+    cfg = RunConfig(robot_count=3, mode="no-consensus", seed=9)
+    world = World(grid, field, cfg, positions, masks,
+                  [RngStream.from_seed(9, a) for a in (1, 2, 3)])
+    landed = np.zeros((3, 64), dtype=bool)
+    for _ in range(300):
+        before = world.masks.copy()
+        world.tick()
+        landed[:] = False
+        landed[np.arange(3), world.positions - 1] = True
+        # a feature landed on is marked, anything else is left as it was
+        assert np.array_equal(world.masks, before | (landed & field.mask))
+    assert world.masks.any()
+
+
+def test_world_copies_its_input_arrays():
+    grid = build_grid(8, 0.7)
+    field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
+    positions = np.array([19, 19])
+    masks = np.zeros((2, 64), dtype=bool)
+    world = World(grid, field, small_config(), positions, masks,
+                  [RngStream.from_seed(0, a) for a in (1, 2)])
+    for _ in range(100):
+        world.tick()
+    assert world.masks[:, 19 - 1].all()
+    assert positions.tolist() == [19, 19] and not masks.any()
 
 
 def test_run_trivial_threshold_converges_immediately():
@@ -217,19 +262,15 @@ def test_permuting_robot_ids_permutes_the_trace():
     cfg = RunConfig(robot_count=3, seed=6, max_steps=80, epsilon=1e-9)
     reference = World.from_config(cfg)
     perm = [2, 0, 1]  # new index -> original robot index
-    originals = reference.robot_states()
     streams = [RngStream.from_seed(cfg.seed, a) for a in (1, 2, 3)]
-    robots = [
-        dataclasses.replace(originals[orig], robot_id=new + 1)
-        for new, orig in enumerate(perm)
-    ]
     permuted = World(
-        reference.grid, reference.field, cfg, robots, [streams[i] for i in perm]
+        reference.grid, reference.field, cfg, reference.positions[perm],
+        reference.masks[perm], [streams[i] for i in perm],
     )
     rows_ref, rows_perm = [], []
     for _ in range(40):
-        rows_ref.append(reference.tick().distances)
-        rows_perm.append(permuted.tick().distances)
+        rows_ref.append(reference.tick())
+        rows_perm.append(permuted.tick())
     ref = np.array(rows_ref)
     per = np.array(rows_perm)
     assert np.array_equal(per, ref[:, perm])
@@ -298,22 +339,13 @@ def test_world_rejects_mismatched_robots():
     cfg = small_config()
     grid = build_grid(8, 0.7)
     field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
-    robots = [RobotState(1, 1, nominal_occupancy(64, 0.8))]
+    streams = [RngStream.from_seed(0, a) for a in (1, 2)]
     with pytest.raises(ConfigError):
-        World(grid, field, cfg, robots, [RngStream.from_seed(0, 1)])
-    bad_level = [
-        RobotState(1, 1, nominal_occupancy(64, 0.9)),
-        RobotState(2, 1, nominal_occupancy(64, 0.9)),
-    ]
+        World(grid, field, cfg, [1], np.zeros((1, 64), bool), streams[:1])
+    for shape in ((2, 63), (1, 64), (2, 64, 1)):
+        with pytest.raises(ConfigError):
+            World(grid, field, cfg, [1, 1], np.zeros(shape, bool), streams)
+    false_positive = np.zeros((2, 64), dtype=bool)
+    false_positive[0, 0] = True  # node 1 carries no feature
     with pytest.raises(ConfigError):
-        World(grid, field, cfg, bad_level,
-              [RngStream.from_seed(0, a) for a in (1, 2)])
-    off_field = np.zeros(64, dtype=bool)
-    off_field[0] = True  # node 1 carries no feature
-    false_positive = [
-        RobotState(1, 1, OccupancyVector(off_field, 0.8)),
-        RobotState(2, 1, nominal_occupancy(64, 0.8)),
-    ]
-    with pytest.raises(ConfigError):
-        World(grid, field, cfg, false_positive,
-              [RngStream.from_seed(0, a) for a in (1, 2)])
+        World(grid, field, cfg, [1, 1], false_positive, streams)

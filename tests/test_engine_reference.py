@@ -34,11 +34,10 @@ def reference_run(config: RunConfig) -> dict:
     grid = build_grid(cfg.side_count, cfg.spacing)
     field = FeatureField(grid.node_count, frozenset(cfg.resolve_features()), cfg.level)
     n = cfg.robot_count
-    robots = initialize_robots(n, grid.node_count, RngStream.from_seed(cfg.seed, 0), cfg.level)
+    positions = initialize_robots(n, grid.node_count, RngStream.from_seed(cfg.seed, 0))
     streams = [RngStream.from_seed(cfg.seed, a) for a in range(1, n + 1)]
     supports = transition_supports(build_transition_matrix(grid))
-    positions = np.array([r.node for r in robots], dtype=np.int64)
-    masks = np.array([r.belief.mask for r in robots], dtype=bool)
+    masks = np.zeros((n, grid.node_count), dtype=bool)
     level = cfg.level
 
     def pmf_rows():
@@ -57,9 +56,9 @@ def reference_run(config: RunConfig) -> dict:
     def fuse(graph):
         before = {idx: carried[idx] if carried is not None else pmf_row(idx) for idx in range(n)}
         new_masks, new_carried = {}, {}
-        for robot_id, nbrs in graph.neighbor_sets.items():
+        for robot_id, nbrs in graph.items():
             weights = fusion.metropolis_weights(
-                robot_id, {b: len(graph.neighbor_sets[b]) for b in nbrs}
+                robot_id, {b: len(graph[b]) for b in nbrs}
             )
             fused = fusion.chernoff_fuse([(before[b - 1], w) for b, w in sorted(weights.items())])
             idx = robot_id - 1
@@ -95,7 +94,7 @@ def reference_run(config: RunConfig) -> dict:
             for idx in changed:
                 carried[idx] = pmf_row(idx)
         if cfg.mode == "consensus":
-            graph, groups = build_comm_graph(step, positions, grid, cfg.comm_radius)
+            graph, groups = build_comm_graph(positions, grid, cfg.comm_radius)
             encounters += [Encounter(step, node, members) for node, members in groups]
             changed += fuse(graph)
         for idx in sorted(set(changed)):

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from gridfusion.engine import DEFAULT_FEATURES
-from gridfusion.fusion import (
-    chernoff_fuse,
-    merge_occupancy,
-    metropolis_weights,
-    threshold_fused,
-)
-from gridfusion.occupancy import FeatureField, OccupancyVector, nominal_occupancy
+from gridfusion.fusion import chernoff_fuse, merge_occupancy, metropolis_weights
+from gridfusion.occupancy import FeatureField, OccupancyVector
 
 
 def random_pmf(rng, size):
@@ -152,27 +147,24 @@ def test_fuse_rejects_bad_inputs():
 
 
 def test_threshold_uniform_against_nominal_is_empty():
-    f = np.full(64, 1 / 64)
-    theta = threshold_fused(f, f.copy(), 0.8)
-    assert not theta.mask.any()
+    field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
+    fused = chernoff_fuse([(field.f_nom, 0.5), (field.f_nom, 0.5)])
+    assert not (fused > field.f_nom).any()
 
 
 def test_threshold_reference_recovers_feature_set():
     field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
-    theta = threshold_fused(field.f_ref, field.f_nom, 0.8)
     # 0.04 > 1/64 > 0.01, so exactly the feature nodes survive
-    assert theta.occupied_nodes() == tuple(sorted(DEFAULT_FEATURES))
+    marked = field.f_ref > field.f_nom
+    assert tuple(np.flatnonzero(marked) + 1) == tuple(sorted(DEFAULT_FEATURES))
 
 
 def test_threshold_single_elevated_entry():
     f_nom = np.full(4, 0.25)
     f = np.array([0.4, 0.2, 0.2, 0.2])
-    assert threshold_fused(f, f_nom, 0.8).occupied_nodes() == (1,)
-
-
-def test_threshold_rejects_mismatched_sizes():
-    with pytest.raises(ValueError):
-        threshold_fused(np.full(4, 0.25), np.full(5, 0.2), 0.8)
+    assert (f > f_nom).tolist() == [True, False, False, False]
+    # a tie counts as unoccupied
+    assert not (f_nom > f_nom).any()
 
 
 def test_merge_keeps_nominal():
@@ -188,7 +180,7 @@ def test_merge_is_union_of_occupied_sets():
     b = np.zeros(64, bool)
     b[19] = True
     out = merge_occupancy(OccupancyVector(a, 0.8), OccupancyVector(b, 0.8), nom)
-    assert out.occupied_nodes() == (19, 20)
+    assert (np.flatnonzero(out.mask) + 1).tolist() == [19, 20]
 
 
 def test_merge_reference_is_absorbing():
@@ -196,7 +188,9 @@ def test_merge_reference_is_absorbing():
     rng = np.random.default_rng(5)
     sub = field.mask & (rng.random(64) < 0.5)
     out = merge_occupancy(
-        OccupancyVector(field.mask, 0.8), OccupancyVector(sub, 0.8), nominal_occupancy(64, 0.8)
+        OccupancyVector(field.mask, 0.8),
+        OccupancyVector(sub, 0.8),
+        OccupancyVector(np.zeros(64, bool), 0.8),
     )
     assert np.array_equal(out.mask, field.mask)
 
@@ -253,5 +247,5 @@ def test_no_false_positives_exhaustive_small_supports():
         for _ in range(10):
             a, b = rng.integers(0, 2**size, size=2)
             fused = chernoff_fuse([(pmfs[a], 0.5), (pmfs[b], 0.5)])
-            theta = threshold_fused(fused, np.full(size, 1.0 / size), level)
-            assert not np.any(theta.mask & ~union[a, b])
+            marked = fused > np.full(size, 1.0 / size)
+            assert not np.any(marked & ~union[a, b])

@@ -1,14 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gridfusion.engine import DEFAULT_FEATURES
-from gridfusion.metrics import (
-    HellingerRecord,
-    bhattacharyya,
-    converged,
-    hellinger,
-    hellinger_batch,
-)
+from gridfusion.engine import DEFAULT_FEATURES, RunConfig, World, run
+from gridfusion.metrics import hellinger, hellinger_batch
 from gridfusion.occupancy import FeatureField
 
 
@@ -17,30 +13,14 @@ def random_pmf(rng, size):
     return raw / raw.sum()
 
 
-def test_bhattacharyya_identical_is_one():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        f = random_pmf(rng, 32)
-        assert bhattacharyya(f, f) == 1.0
-
-
-def test_bhattacharyya_disjoint_is_zero():
-    assert bhattacharyya(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_bhattacharyya_uniform_vs_reference():
-    """64-term sum pinned by direct evaluation:
+def test_hellinger_uniform_vs_reference():
+    """Overlap pinned by direct evaluation:
     12*sqrt(0.04/64) + 52*sqrt(0.01/64) = 12*0.025 + 52*0.0125 = 0.95."""
     field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
     uniform = np.full(64, 1 / 64)
     oracle = sum(np.sqrt(f * u) for f, u in zip(field.f_ref, uniform))
     assert oracle == pytest.approx(0.95, abs=1e-12)
-    assert bhattacharyya(uniform, field.f_ref) == pytest.approx(0.95, abs=1e-12)
-
-
-def test_bhattacharyya_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        bhattacharyya(np.full(4, 0.25), np.full(5, 0.2))
+    assert hellinger(uniform, field.f_ref) == pytest.approx(np.sqrt(0.05), abs=1e-12)
 
 
 def test_hellinger_identical_is_exactly_zero():
@@ -88,6 +68,26 @@ def test_hellinger_batch_matches_scalar():
     assert batch[-1] == 0.0
 
 
+def test_hellinger_batch_identical_rows_are_exactly_zero():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        g = random_pmf(rng, 32)
+        rows = np.array([g, random_pmf(rng, 32), g])
+        assert hellinger_batch(rows, g)[[0, 2]].tolist() == [0.0, 0.0]
+
+
+def test_hellinger_batch_disjoint_is_one():
+    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert hellinger_batch(rows, np.array([0.0, 1.0])).tolist() == [1.0, 0.0]
+
+
+def test_hellinger_batch_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        hellinger_batch(np.full((2, 4), 0.25), np.full(5, 0.2))
+    with pytest.raises(ValueError):
+        hellinger_batch(np.full(4, 0.25), np.full(4, 0.25))
+
+
 def test_hellinger_near_complete_reconstruction_scale():
     # one feature node still missing out of twelve sits near 0.07
     field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
@@ -97,30 +97,28 @@ def test_hellinger_near_complete_reconstruction_scale():
     assert hellinger(vals / vals.sum(), field.f_ref) == pytest.approx(0.07, abs=0.005)
 
 
-def test_converged_all_below():
-    assert converged(HellingerRecord(0, np.zeros(4)), 1e-6)
+def test_run_robot_exactly_at_epsilon_has_not_converged():
+    cfg = RunConfig(robot_count=1, seed=3, max_steps=5)
+    start = World.from_config(cfg).dh[0]
+    at = run(dataclasses.replace(cfg, epsilon=start))
+    assert at.robot_convergence[0] != 0 and at.convergence_step != 0
+    above = run(dataclasses.replace(cfg, epsilon=float(np.nextafter(start, 1.0))))
+    assert above.robot_convergence == (0,) and above.convergence_step == 0
 
 
-def test_converged_one_above():
-    assert not converged(HellingerRecord(3, np.array([0.0, 0.07, 0.0])), 0.01)
-
-
-def test_converged_strict_at_threshold():
-    eps = 0.25
-    assert not converged(HellingerRecord(1, np.full(3, eps)), eps)
-
-
-def test_converged_rejects_bad_epsilon():
-    with pytest.raises(ValueError):
-        converged(HellingerRecord(0, np.zeros(2)), 0.0)
-
-
-def test_record_distances_read_only():
-    source = np.array([0.1, 0.2])
-    rec = HellingerRecord(2, source)
-    with pytest.raises(ValueError):
-        rec.distances[0] = 0.5
-    source[0] = 0.5  # a writable input is copied, so the record keeps 0.1
-    assert rec.distances.tolist() == [0.1, 0.2]
-    source.flags.writeable = False
-    assert HellingerRecord(3, source).distances is source
+def test_tick_row_is_read_only_and_shared_until_a_distance_changes():
+    world = World.from_config(RunConfig(seed=1, robot_count=8))
+    previous = world.tick()
+    changes = 0
+    for _ in range(300):
+        row = world.tick()
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.5
+        assert np.array_equal(row, world.dh)
+        if np.array_equal(row, previous):
+            assert row is previous
+        else:
+            changes += 1
+        previous = row
+    assert 0 < changes < 300

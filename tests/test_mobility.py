@@ -87,24 +87,27 @@ def test_sample_next_matches_choice_table():
         node = nxt
 
 
-def test_initialize_robots_uniform_nominal():
-    robots = initialize_robots(4, 64, make_stream(0, 0))
-    assert [r.robot_id for r in robots] == [1, 2, 3, 4]
-    for r in robots:
-        assert 1 <= r.node <= 64
-        f = r.belief.values / r.belief.values.sum()
-        assert np.all(f == 1 / 64)
+def test_initialize_robots_places_on_grid():
+    nodes = initialize_robots(4, 64, make_stream(0, 0))
+    assert nodes.dtype == np.int64 and nodes.shape == (4,)
+    assert np.all((1 <= nodes) & (nodes <= 64))
 
 
 def test_initialize_single_robot():
-    robots = initialize_robots(1, 9, make_stream(3, 0))
-    assert len(robots) == 1 and not robots[0].belief.mask.any()
+    assert initialize_robots(1, 9, make_stream(3, 0)).shape == (1,)
 
 
 def test_initialize_is_seeded():
-    a = [r.node for r in initialize_robots(8, 64, make_stream(17, 0))]
-    b = [r.node for r in initialize_robots(8, 64, make_stream(17, 0))]
-    assert a == b
+    a = initialize_robots(8, 64, make_stream(17, 0))
+    b = initialize_robots(8, 64, make_stream(17, 0))
+    assert a.tolist() == b.tolist()
+
+
+def test_initialize_maps_each_uniform_to_floor_u_s_plus_one():
+    for node_count in (1, 64, 4096, 65536):
+        nodes = initialize_robots(20_000, node_count, make_stream(node_count, 0))
+        draws = make_stream(node_count, 0).take(20_000).tolist()
+        assert nodes.tolist() == [int(u * node_count) + 1 for u in draws]
 
 
 def test_initialize_rejects_bad_count():
@@ -113,7 +116,7 @@ def test_initialize_rejects_bad_count():
 
 
 def test_initialize_placement_covers_grid():
-    nodes = [r.node for r in initialize_robots(2000, 4, make_stream(1, 0))]
+    nodes = initialize_robots(2000, 4, make_stream(1, 0))
     counts = np.bincount(nodes, minlength=5)[1:]
     assert np.all(counts > 400)  # roughly uniform over the four nodes
 

@@ -6,9 +6,8 @@ from gridfusion.occupancy import (
     FeatureField,
     OccupancyVector,
     circle_nodes,
-    nominal_occupancy,
     pmf_from_occupancy,
-    sense_and_update,
+    pmf_rows,
 )
 
 
@@ -18,9 +17,10 @@ def field():
 
 
 def test_occupancy_vector_is_two_valued():
-    theta = OccupancyVector(np.array([True, False, True]), 0.8)
-    assert theta.values.tolist() == [0.8, 1.0 - 0.8, 0.8]
-    assert theta.occupied_nodes() == (1, 3)
+    theta = OccupancyVector(np.array([1, 0, 1]), 0.8)
+    assert theta.mask.tolist() == [True, False, True]
+    expected = [0.8 / 1.8, (1.0 - 0.8) / 1.8, 0.8 / 1.8]
+    assert pmf_from_occupancy(theta).tolist() == pytest.approx(expected, abs=1e-15)
 
 
 def test_occupancy_vector_rejects_bad_level():
@@ -36,7 +36,7 @@ def test_occupancy_vector_immutable():
 
 
 def test_nominal_pmf_is_uniform():
-    theta = nominal_occupancy(64, 0.8)
+    theta = OccupancyVector(np.zeros(64, bool), 0.8)
     f = pmf_from_occupancy(theta)
     assert np.all(f == 1 / 64)
     assert f.sum() == pytest.approx(1.0, abs=1e-12)
@@ -62,8 +62,17 @@ def test_pmf_scale_invariance():
         theta = OccupancyVector(rng.random(16) < 0.3, 0.8)
         f = pmf_from_occupancy(theta)
         for const in (0.25, 3.0, 1e6):
-            scaled = const * theta.values
+            scaled = const * np.where(theta.mask, 0.8, 0.2)
             assert np.allclose(scaled / scaled.sum(), f, atol=1e-15)
+
+
+def test_pmf_rows_match_pmf_from_occupancy_bitwise():
+    rng = np.random.default_rng(8)
+    for size in (4, 64, 4096, 65536):
+        masks = rng.random((5, size)) < rng.random((5, 1))
+        rows = pmf_rows(masks, 0.8)
+        for mask, row in zip(masks, rows):
+            assert row.tobytes() == pmf_from_occupancy(OccupancyVector(mask, 0.8)).tobytes()
 
 
 def test_pmf_from_occupancy_two_values_at_most():
@@ -86,47 +95,6 @@ def test_feature_field_rejects_out_of_range_nodes():
 def test_feature_field_empty_is_valid():
     field = FeatureField(node_count=9, occupied=frozenset(), level=0.8)
     assert np.array_equal(field.f_ref, field.f_nom)
-
-
-def test_sense_detects_feature(field):
-    theta = nominal_occupancy(64, 0.8)
-    out = sense_and_update(theta, 19, field)
-    assert out.values[18] == 0.8
-    assert out.occupied_nodes() == (19,)
-    # only that entry moved
-    assert np.count_nonzero(out.mask) == 1
-
-
-def test_sense_no_feature_no_change(field):
-    theta = nominal_occupancy(64, 0.8)
-    out = sense_and_update(theta, 1, field)
-    assert out is theta
-
-
-def test_sense_idempotent(field):
-    theta = nominal_occupancy(64, 0.8)
-    once = sense_and_update(theta, 19, field)
-    twice = sense_and_update(once, 19, field)
-    assert twice is once
-
-
-def test_sense_rejects_out_of_range(field):
-    theta = nominal_occupancy(64, 0.8)
-    with pytest.raises(IndexError):
-        sense_and_update(theta, 0, field)
-    with pytest.raises(IndexError):
-        sense_and_update(theta, 65, field)
-
-
-def test_sense_monotone_and_bounded_by_reference(field):
-    rng = np.random.default_rng(11)
-    theta = nominal_occupancy(64, 0.8)
-    for _ in range(500):
-        node = int(rng.integers(1, 65))
-        nxt = sense_and_update(theta, node, field)
-        assert np.all(nxt.values >= theta.values)
-        assert np.all(nxt.values <= OccupancyVector(field.mask, 0.8).values)
-        theta = nxt
 
 
 def test_circle_nodes_reproduces_default_feature_ring():
