@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fusion, mobility, occupancy, spatial
 from .errors import ConfigError, EngineInvariantError
@@ -213,7 +212,8 @@ def build_comm_graph(positions, grid: spatial.SpatialGrid, comm_radius: float):
             nbrs = np.flatnonzero(row)
             if nbrs.size:
                 neighbor_sets[idx + 1] = frozenset(int(b) + 1 for b in nbrs)
-        from scipy.sparse.csgraph import connected_components  # slow import, rare path
+        import scipy.sparse as sp  # slow import, rare path
+        from scipy.sparse.csgraph import connected_components
 
         labels = connected_components(sp.csr_array(adj), directed=False)[1]
         for label in np.unique(labels):
@@ -290,7 +290,7 @@ class World:
         self._carried = self._pmf_rows() if config.carry == "chernoff" else None
         self.dh = hellinger_batch(self.opinions(), self._f_ref)
         self._record_row = self._frozen_distances()
-        self._choices = mobility.choice_table(grid).tolist()
+        self._choices = grid.choices.tolist()
         self._counts = [0, *(grid.degrees + 1).tolist()]
         self._robots = np.arange(len(self.positions))
         self._plan = np.empty((0, len(self.positions)), dtype=np.int64)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .engine import MODES, RunConfig, RunTrace, _is_int, run
 from .errors import ConfigError
@@ -177,17 +176,19 @@ def run_sweep(
 # file emission
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_trace_csv(trace: RunTrace, path: Path) -> None:
     path = Path(path)
     n = trace.robot_count
     header = "k," + ",".join(f"dh_{a}" for a in range(1, n + 1))
     lines = [TRACE_TAG, header]
-    for k, row in enumerate(trace.distances):
-        lines.append(f"{k}," + ",".join(_fmt(v) for v in row))
+    # most rows repeat the previous one and reuse its text; rows are compared
+    # by bit pattern, so 0.0 and -0.0 still print as written
+    keys = trace.distances.view(np.int64).tolist()
+    last = text = None
+    for k, (row, key) in enumerate(zip(trace.distances.tolist(), keys)):
+        if key != last:
+            last, text = key, ",".join(map(repr, row))
+        lines.append(f"{k},{text}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -197,9 +198,7 @@ def write_pmf_csv(pmf: np.ndarray, side_count: int, path: Path, step, robot) -> 
     if pmf.size != side_count * side_count:
         raise ValueError(f"PMF of size {pmf.size} does not fill a {side_count}x{side_count} grid")
     lines = [f"{PMF_TAG} side={side_count} step={step} robot={robot}"]
-    for r in range(side_count):
-        row = pmf[r * side_count:(r + 1) * side_count]
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(map(repr, row)) for row in pmf.reshape(side_count, side_count).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -296,6 +295,8 @@ def config_from_dict(d: dict) -> RunConfig:
 
 
 def save_config(config: RunConfig, path, batch: dict | None = None) -> None:
+    import yaml  # only config files read or write YAML
+
     doc = {"format": CONFIG_FORMAT, "run": config_to_dict(config)}
     if batch:
         doc["batch"] = dict(batch)
@@ -304,6 +305,8 @@ def save_config(config: RunConfig, path, batch: dict | None = None) -> None:
 
 def load_config(path):
     """Load a config file; returns (RunConfig, batch dict or {})."""
+    import yaml  # only config files read or write YAML
+
     try:
         doc = yaml.safe_load(Path(path).read_text())
     except OSError as exc:

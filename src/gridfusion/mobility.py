@@ -68,22 +68,6 @@ def transition_supports(transition_matrix: np.ndarray) -> tuple:
     )
 
 
-def choice_table(grid) -> np.ndarray:
-    """Choice lists of the lazy uniform walk, read off ``grid.neighbors``.
-
-    Row i of the (S + 1) x 5 int64 table holds node i's choice list (the node
-    itself and its neighbors, ascending) followed by zero padding; row 0 is
-    all zeros, so the table is indexed by 1-based node id. The rows equal
-    ``transition_supports(build_transition_matrix(grid))`` without building
-    the S x S matrix.
-    """
-    table = np.zeros((grid.node_count + 1, 5), dtype=np.int64)
-    for node, nbrs in enumerate(grid.neighbors, start=1):
-        choices = sorted((node, *nbrs))
-        table[node, :len(choices)] = choices
-    return table
-
-
 def sample_next(node: int, supports: tuple, rng: RngStream) -> int:
     """Draw the next node uniformly from a node's choice list (one uniform)."""
     choices = supports[node - 1]

@@ -11,22 +11,36 @@ position i-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CompositeSizeError, ConfigError
 
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Undirected 4-connected c-by-c lattice over nodes 1..c*c."""
+    """Undirected 4-connected c-by-c lattice over nodes 1..c*c.
+
+    ``choices`` is the read-only (S + 1) x 5 int64 table of the lazy walk's
+    choice lists: row i holds node i and its lattice neighbors in ascending
+    id, then zero padding, and row 0 is all zeros, so the table is indexed
+    by 1-based node id. ``degrees`` (node i at position i - 1) is read off it.
+    """
 
     side_count: int
     spacing: float
     node_count: int
     degrees: np.ndarray
-    neighbors: tuple
+    choices: np.ndarray
+
+    @cached_property
+    def neighbors(self) -> tuple:
+        """Lattice neighbors of each node, ascending; node i at position i - 1."""
+        return tuple(
+            tuple(j for j in row if j and j != node)
+            for node, row in enumerate(self.choices[1:].tolist(), start=1)
+        )
 
     def node_row_col(self, node: int) -> tuple[int, int]:
         """(row, column) of a node, both 1-based, row 1 at the south edge."""
@@ -51,27 +65,24 @@ def build_grid(side_count: int, spacing: float) -> SpatialGrid:
         raise ConfigError(f"spacing must be positive, got {spacing!r}")
     c = int(side_count)
     n = c * c
-    neighbors = []
-    for i in range(1, n + 1):
-        row, col = (i - 1) // c + 1, (i - 1) % c + 1
-        nbrs = []
-        if row > 1:
-            nbrs.append(i - c)
-        if col > 1:
-            nbrs.append(i - 1)
-        if col < c:
-            nbrs.append(i + 1)
-        if row < c:
-            nbrs.append(i + c)
-        neighbors.append(tuple(nbrs))
-    degrees = np.array([len(nbrs) for nbrs in neighbors], dtype=np.int64)
+    node = np.arange(1, n + 1)
+    row, col = (node - 1) // c, (node - 1) % c
+    # candidates in ascending id: south, west, self, east, north
+    candidates = node[:, None] + np.array([-c, -1, 0, 1, c])
+    on_grid = np.stack([row > 0, col > 0, np.full(n, True), col < c - 1, row < c - 1], axis=1)
+    # pack each row's on-grid candidates to the left, keeping their order
+    packed = np.sort(np.where(on_grid, candidates, n + 1), axis=1)
+    choices = np.zeros((n + 1, 5), dtype=np.int64)
+    choices[1:] = np.where(packed > n, 0, packed)
+    choices.flags.writeable = False
+    degrees = np.count_nonzero(choices[1:], axis=1) - 1
     degrees.flags.writeable = False
     return SpatialGrid(
         side_count=c,
         spacing=float(spacing),
         node_count=n,
         degrees=degrees,
-        neighbors=tuple(neighbors),
+        choices=choices,
     )
 
 
@@ -83,11 +94,9 @@ def build_transition_matrix(grid: SpatialGrid) -> np.ndarray:
     """
     n = grid.node_count
     p = np.zeros((n, n))
-    for i in range(1, n + 1):
-        w = 1.0 / (grid.degrees[i - 1] + 1)
-        p[i - 1, i - 1] = w
-        for j in grid.neighbors[i - 1]:
-            p[i - 1, j - 1] = w
+    table = grid.choices[1:]
+    rows, slots = np.nonzero(table)
+    p[rows, table[rows, slots] - 1] = 1.0 / (grid.degrees[rows] + 1)
     p.flags.writeable = False
     return p
 
@@ -130,7 +139,8 @@ def check_irreducible(matrix) -> bool:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     if n == 0:
         return False
-    from scipy.sparse.csgraph import connected_components  # slow import, analysis only
+    import scipy.sparse as sp  # slow import, analysis only
+    from scipy.sparse.csgraph import connected_components
 
     return connected_components(sp.csr_array(matrix > 0), connection="strong")[0] == 1
 
@@ -190,6 +200,8 @@ def build_composite_chain(
             f"composite chain has {s}^{robot_count} = {states} states, "
             f"above the cap of {max_states}"
         )
+    import scipy.sparse as sp  # slow import, analysis only
+
     base = sp.csr_array(transition_matrix)
     q = base
     for _ in range(robot_count - 1):

@@ -15,14 +15,34 @@ def test_every_public_name_resolves():
         assert getattr(gridfusion, name) is not None, name
 
 
-def test_cli_import_leaves_csgraph_unloaded():
-    # scipy.sparse.csgraph adds tens of milliseconds to every launch; only
-    # the wide-radius comm graph needs it, and it imports it on first use
-    code = (
-        "import sys, gridfusion.cli; "
-        "sys.exit('scipy.sparse.csgraph' in sys.modules)"
-    )
-    result = subprocess.run(
+# scipy costs about 250 ms per launch and yaml a few more; only `analyze`,
+# comm_radius >= spacing and config files need them, and they import them
+# on first use
+HEAVY = ("scipy", "yaml")
+NO_HEAVY_MODULE = (
+    "loaded = sorted(m for m in sys.modules if m.split('.')[0] in {heavy!r}); "
+    "sys.exit(', '.join(loaded) or None)"
+).format(heavy=HEAVY)
+
+
+def run_python(code):
+    return subprocess.run(
         [sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, timeout=60
     )
-    assert result.returncode == 0, result.stderr or "gridfusion.cli imported scipy.sparse.csgraph"
+
+
+def test_cli_import_leaves_scipy_and_yaml_unloaded():
+    result = run_python("import sys, gridfusion.cli; " + NO_HEAVY_MODULE)
+    assert result.returncode == 0, result.stderr
+
+
+def test_batch_command_runs_without_scipy_or_yaml(tmp_path):
+    code = (
+        "import sys; from gridfusion.cli import main; "
+        "code = main(['batch', '--robots', '2,4', '--mode', 'both', '--runs', '2', "
+        f"'--max-steps', '200', '--out', {str(tmp_path / 'out')!r}]); "
+        "assert code == 0, code; " + NO_HEAVY_MODULE
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "summary.json").is_file()

@@ -19,7 +19,6 @@ from gridfusion.metrics import hellinger_batch
 from gridfusion.mobility import (
     UNIFORM_BLOCK,
     RngStream,
-    choice_table,
     initialize_robots,
     sample_next,
     transition_supports,
@@ -183,7 +182,7 @@ def test_engine_matches_reference_across_uniform_blocks():
 @pytest.mark.parametrize("side", range(1, 10))
 def test_choice_table_rows_are_the_transition_supports(side):
     grid = build_grid(side, 1.0)
-    table = choice_table(grid)
+    table = grid.choices
     supports = transition_supports(build_transition_matrix(grid))
     assert table.shape == (grid.node_count + 1, 5)
     assert not table[0].any()

@@ -4,7 +4,6 @@ import pytest
 from gridfusion.mobility import (
     RngStream,
     initialize_robots,
-    choice_table,
     sample_next,
     transition_supports,
 )
@@ -78,7 +77,7 @@ def test_sample_next_matches_choice_table():
     # the engine's planned walk indexes the choice table with the same uniform
     grid = build_grid(4, 1.0)
     supports = transition_supports(build_transition_matrix(grid))
-    table = choice_table(grid)
+    table = grid.choices
     rng_a, rng_b = make_stream(9, 1), make_stream(9, 1)
     node = 6
     for _ in range(200):

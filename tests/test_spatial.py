@@ -18,6 +18,44 @@ def lattice_degree(c, node):
     return sum([row > 0, row < c - 1, col > 0, col < c - 1])
 
 
+@pytest.mark.parametrize("c", [*range(1, 13), 64])
+def test_choices_and_neighbors_match_a_brute_force_lattice(c):
+    # oracle: the node plus every node at Manhattan distance 1, ascending,
+    # found by comparing node_row_col of every pair of nodes
+    grid = build_grid(c, 1.0)
+    rc = np.array([grid.node_row_col(j) for j in range(1, grid.node_count + 1)])
+    assert grid.choices.shape == (grid.node_count + 1, 5)
+    assert grid.choices.dtype == np.int64 and not grid.choices.flags.writeable
+    assert not grid.choices[0].any()
+    for node in range(1, grid.node_count + 1):
+        expected = (np.flatnonzero(np.abs(rc - rc[node - 1]).sum(axis=1) <= 1) + 1).tolist()
+        assert grid.choices[node].tolist() == expected + [0] * (5 - len(expected))
+        assert list(grid.neighbors[node - 1]) == [j for j in expected if j != node]
+        assert grid.degrees[node - 1] == len(expected) - 1
+
+
+def reference_transition_matrix(grid):
+    """The per-node loop that built the matrix before the table did."""
+    n = grid.node_count
+    p = np.zeros((n, n))
+    for i in range(1, n + 1):
+        w = 1.0 / (grid.degrees[i - 1] + 1)
+        p[i - 1, i - 1] = w
+        for j in grid.neighbors[i - 1]:
+            p[i - 1, j - 1] = w
+    return p
+
+
+@pytest.mark.parametrize("c", [*range(1, 10), 64])
+def test_transition_matrix_is_bitwise_the_per_node_loop(c):
+    grid = build_grid(c, 1.0)
+    p = build_transition_matrix(grid)
+    expected = reference_transition_matrix(grid)
+    assert p.dtype == expected.dtype and p.shape == expected.shape
+    assert (p.view(np.int64) == expected.view(np.int64)).all()
+    assert not p.flags.writeable
+
+
 def test_grid_8x8_degree_counts():
     grid = build_grid(8, 0.7)
     assert grid.node_count == 64
