@@ -155,8 +155,8 @@ class RunConfig:
                 cx, cy, radius = (float(p) for p in parts)
             except ValueError as exc:
                 raise ConfigError(f"bad circle spec {spec!r}") from exc
-            if radius < 0:
-                raise ConfigError(f"circle radius must be >= 0, got {radius}")
+            if not (all(map(math.isfinite, (cx, cy, radius))) and radius >= 0):
+                raise ConfigError(f"circle spec needs finite cx, cy and r >= 0, got {spec!r}")
             return occupancy.circle_nodes(self.side_count, cx, cy, radius)
         try:
             ids = tuple(spec)

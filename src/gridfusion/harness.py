@@ -19,9 +19,9 @@ File formats (all carry a version tag on the first line):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,12 +46,23 @@ def _execute_run(args) -> RunTrace:
     return run(dataclasses.replace(config, seed=seed))
 
 
-def run_batch(config: RunConfig, runs: int, master_seed: int, workers: int = 1) -> list:
+def _pool(workers, pool=None):
+    """``pool`` if given, else a new pool if ``workers`` is an integer above 1."""
+    if pool is not None or not (_is_int(workers) and workers > 1):
+        return contextlib.nullcontext(pool)
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def run_batch(config: RunConfig, runs: int, master_seed: int, workers: int = 1, *,
+              pool=None) -> list:
     """Execute ``runs`` independent seeded runs of one configuration.
 
     Results are ordered by run index and bit-identical for a given master
-    seed regardless of worker count. A run that trips an internal invariant
-    aborts the batch; the offending seed is part of the exception message.
+    seed regardless of worker count; with ``workers > 1`` they map onto
+    ``pool``, or onto a pool of their own. A run that trips an internal
+    invariant aborts the batch; the offending seed is part of the message.
     """
     if not _is_int(runs) or runs < 1:
         raise ConfigError(f"runs must be a positive integer, got {runs!r}")
@@ -61,8 +72,8 @@ def run_batch(config: RunConfig, runs: int, master_seed: int, workers: int = 1) 
     jobs = [(config, derive_run_seed(master_seed, i)) for i in range(runs)]
     if workers == 1:
         return [_execute_run(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_execute_run, jobs, chunksize=max(1, runs // (workers * 4))))
+    with _pool(workers, pool) as executor:
+        return list(executor.map(_execute_run, jobs, chunksize=max(1, runs // (workers * 4))))
 
 
 @dataclass(frozen=True)
@@ -137,31 +148,25 @@ def summarize_block(mode: str, robot_count: int, traces) -> McBlock:
     )
 
 
-def run_sweep(
-    config: RunConfig,
-    robot_counts,
-    modes,
-    runs: int,
-    master_seed: int,
-    workers: int = 1,
-):
+def run_sweep(config: RunConfig, robot_counts, modes, runs: int, master_seed: int,
+              workers: int = 1):
     """Batches for every (mode, robot_count) pair, e.g. the consensus versus
-    no-consensus comparison. Returns (McSummary, {(mode, n): traces})."""
+    no-consensus comparison; with ``workers > 1`` one pool serves them all.
+    Returns (McSummary, {(mode, n): traces})."""
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     blocks = []
     traces_by_block = {}
-    for mode in modes:
-        for n in robot_counts:
-            block_config = dataclasses.replace(config, mode=mode, robot_count=int(n))
-            traces = run_batch(block_config, runs, master_seed, workers)
-            traces_by_block[(mode, int(n))] = traces
-            blocks.append(summarize_block(mode, int(n), traces))
-    echo = config_to_dict(config)
-    echo.pop("robot_count", None)
-    echo.pop("mode", None)
-    echo.pop("seed", None)
+    with _pool(workers) as pool:
+        for mode in modes:
+            for n in robot_counts:
+                block_config = dataclasses.replace(config, mode=mode, robot_count=int(n))
+                traces = run_batch(block_config, runs, master_seed, workers, pool=pool)
+                traces_by_block[(mode, int(n))] = traces
+                blocks.append(summarize_block(mode, int(n), traces))
+    per_block = ("robot_count", "mode", "seed")
+    echo = {k: v for k, v in config_to_dict(config).items() if k not in per_block}
     summary = McSummary(
         master_seed=master_seed,
         runs_per_block=runs,

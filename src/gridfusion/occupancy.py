@@ -10,7 +10,6 @@ row of an (N, S) boolean array and normalizes them all with :func:`pmf_rows`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,11 +92,7 @@ def circle_nodes(side_count: int, center_col: float, center_row: float, radius: 
     On an 8x8 grid, center (4, 5) with radius 2 reproduces the twelve-node
     discretized circle used throughout the tests.
     """
-    out = []
-    for node in range(1, side_count * side_count + 1):
-        row = (node - 1) // side_count + 1
-        col = (node - 1) % side_count + 1
-        dist = math.hypot(col - center_col, row - center_row)
-        if radius - 0.5 <= dist < radius + 0.5:
-            out.append(node)
-    return tuple(out)
+    axis = np.arange(1, side_count + 1)
+    dist = np.hypot(axis - center_col, (axis - center_row)[:, None])  # [row, col]
+    ring = (radius - 0.5 <= dist) & (dist < radius + 0.5)
+    return tuple((np.flatnonzero(ring) + 1).tolist())

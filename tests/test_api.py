@@ -17,8 +17,10 @@ def test_every_public_name_resolves():
 
 # scipy costs about 250 ms per launch and yaml a few more; only `analyze`,
 # comm_radius >= spacing and config files need them, and they import them
-# on first use
-HEAVY = ("scipy", "yaml")
+# on first use. The process pool's machinery (concurrent.futures and
+# multiprocessing) loads only where a batch with more than one worker starts
+# its pool.
+HEAVY = ("scipy", "yaml", "concurrent", "multiprocessing")
 NO_HEAVY_MODULE = (
     "loaded = sorted(m for m in sys.modules if m.split('.')[0] in {heavy!r}); "
     "sys.exit(', '.join(loaded) or None)"

@@ -120,6 +120,9 @@ def test_wide_comm_radius_runs(tmp_path):
     (["run", "--snapshot-steps", "1.5"], None),
     (["batch", "--robots", "4,x"], None),
     (["run", "--grid-size", "2", "--features", "circle:1,1,1"], None),
+    (["run", "--features", "circle:nan,4,2"], None),
+    (["run", "--features", "circle:4,5,inf"], None),
+    (["run", "--features", "circle:4,5,nan"], None),
     (["run"], "run: {features: [a]}"),
     (["run"], "run: {spacing: abc}"),
     (["run"], "run: {features: [19.5, 20]}"),

@@ -61,10 +61,17 @@ def test_config_rejects_bad_fields():
         dict(epsilon=True),
         dict(snapshot_steps=5),
         dict(features=(19.5, 20)),
+        dict(features="circle:nan,4,2"),
+        dict(features="circle:4,5,inf"),
+        dict(features="circle:4,5,nan"),
+        dict(features="circle:-inf,5,2"),
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):
             RunConfig(**overrides).validate()
+    # a non-finite ring would resolve to an empty map; the error names the spec
+    with pytest.raises(ConfigError, match="'circle:4,5,inf'"):
+        RunConfig(features="circle:4,5,inf").resolve_features()
 
 
 def test_config_rejects_maps_where_occupancy_distance_rises():

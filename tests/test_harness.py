@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -62,11 +64,42 @@ def test_batch_worker_count_does_not_change_results():
         assert np.array_equal(ts.distances, tp.distances)
 
 
-def test_batch_rejects_bad_arguments():
+@pytest.fixture
+def pools_started(monkeypatch):
+    """max_workers of every process pool started while the test runs."""
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def test_batch_rejects_bad_arguments(pools_started):
     with pytest.raises(ConfigError):
         run_batch(tiny_config(), runs=0, master_seed=0)
-    with pytest.raises(ConfigError):
-        run_batch(tiny_config(), runs=1, master_seed=0, workers=0)
+    for workers in (0, -2, 1.5, True, "2"):
+        with pytest.raises(ConfigError):
+            run_batch(tiny_config(), 1, 0, workers)
+        with pytest.raises(ConfigError):
+            run_sweep(tiny_config(), [2], ["consensus"], 1, 0, workers=workers)
+    assert pools_started == []
+
+
+def test_sweep_starts_one_pool_and_matches_serial_traces(pools_started):
+    sweep = dict(robot_counts=[2, 3], modes=["consensus", "no-consensus"], runs=3,
+                 master_seed=6)
+    config = tiny_config(snapshot_steps=(0, 5))
+    _, pooled = run_sweep(config, workers=2, **sweep)
+    assert pools_started == [2]
+    _, serial = run_sweep(config, workers=1, **sweep)
+    assert pools_started == [2]
+    assert pooled.keys() == serial.keys()
+    for key, traces in serial.items():
+        assert [pickle.dumps(t) for t in pooled[key]] == [pickle.dumps(t) for t in traces]
 
 
 def test_summarize_counts_censored_runs():

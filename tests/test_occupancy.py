@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -108,3 +111,41 @@ def test_circle_radius_zero_is_center():
 def test_circle_on_tiny_grid():
     assert circle_nodes(1, 1, 1, 0) == (1,)
     assert circle_nodes(2, 1, 1, 5) == ()
+
+
+def circle_nodes_by_loop(side_count, center_col, center_row, radius):
+    """Reference ring: the per-node loop that circle_nodes replaced."""
+    out = []
+    for node in range(1, side_count * side_count + 1):
+        row = (node - 1) // side_count + 1
+        col = (node - 1) % side_count + 1
+        dist = math.hypot(col - center_col, row - center_row)
+        if radius - 0.5 <= dist < radius + 0.5:
+            out.append(node)
+    return tuple(out)
+
+
+def test_circle_ring_is_half_open_at_exact_distances():
+    # nodes 29 and 36 lie at distance exactly 5 (3-4-5) from node 1
+    assert {29, 36} <= set(circle_nodes(8, 1, 1, 5.5))
+    assert not {29, 36} & set(circle_nodes(8, 1, 1, 4.5))
+    # a half-integer center puts node 1 at distance exactly 2.5 from (2.5, 3)
+    assert 1 in circle_nodes(8, 2.5, 3, 3)
+    assert 1 not in circle_nodes(8, 2.5, 3, 2)
+
+
+@pytest.mark.parametrize("side", [*range(1, 13), 33, 64])
+def test_circle_nodes_match_the_per_node_loop(side):
+    halves = [h / 2 for h in range(-2, 2 * side + 5)]
+    centers = halves if side <= 12 else halves[::13]
+    radii = halves[2:side + 6] if side <= 12 else [0, 0.5, 1, 4.5, 5.5, 12, side / 2, side]
+    for cx, cy in itertools.product(centers, centers[::4]):
+        for r in radii:
+            assert circle_nodes(side, cx, cy, r) == circle_nodes_by_loop(side, cx, cy, r), (
+                side, cx, cy, r)
+    rng = np.random.default_rng(side)
+    for cx, cy, r in zip(*rng.uniform(-2, side + 2, (2, 200)), rng.uniform(0, side, 200)):
+        cx, cy, r = float(cx), float(cy), float(r)
+        got = circle_nodes(side, cx, cy, r)
+        assert got == circle_nodes_by_loop(side, cx, cy, r), (side, cx, cy, r)
+        assert all(type(node) is int for node in got)
