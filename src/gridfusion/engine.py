@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -226,12 +227,19 @@ def build_comm_graph(positions, grid: spatial.SpatialGrid, comm_radius: float):
 
 @dataclass
 class RunTrace:
-    """Everything a run produced: the distance history and its milestones."""
+    """Everything a run produced: the distance history and its milestones.
+
+    The history is kept as change points: row j of change_rows holds every
+    robot's distance from step change_steps[j] (the first is 0) until the
+    next change point, and the last row holds until step_count.
+    """
 
     seed: int
     mode: str
     carry: str
-    distances: np.ndarray
+    change_steps: np.ndarray
+    change_rows: np.ndarray
+    step_count: int
     robot_convergence: tuple
     convergence_step: Optional[int]
     censored: bool
@@ -240,13 +248,16 @@ class RunTrace:
     final_pmfs: np.ndarray
     final_masks: np.ndarray
 
-    @property
-    def step_count(self) -> int:
-        return self.distances.shape[0] - 1
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """The (step_count + 1, N) distance per step; cached, so an edit to
+        it stays visible to later reads."""
+        spans = np.diff(self.change_steps, append=self.step_count + 1)
+        return np.repeat(self.change_rows, spans, axis=0)
 
     @property
     def robot_count(self) -> int:
-        return self.distances.shape[1]
+        return self.change_rows.shape[1]
 
 
 class World:
@@ -289,7 +300,7 @@ class World:
         self._f_ref = field_.f_ref
         self._carried = self._pmf_rows() if config.carry == "chernoff" else None
         self.dh = hellinger_batch(self.opinions(), self._f_ref)
-        self._record_row = self._frozen_distances()
+        self.dh.flags.writeable = False
         self._choices = grid.choices.tolist()
         self._counts = [0, *(grid.degrees + 1).tolist()]
         self._robots = np.arange(len(self.positions))
@@ -323,11 +334,6 @@ class World:
             return self._carried.copy()
         return self._pmf_rows()
 
-    def _frozen_distances(self) -> np.ndarray:
-        row = self.dh.copy()
-        row.flags.writeable = False
-        return row
-
     def tick(self) -> np.ndarray:
         """Advance one step and return the per-robot distances to the reference.
 
@@ -343,7 +349,7 @@ class World:
         if self._senses[t] or self._meets[t]:
             self._event_tick(step_, self._senses[t], self._meets[t])
         self.k = step_
-        return self._record_row
+        return self.dh
 
     def _plan_block(self) -> None:
         """Plan the next block of positions and find its event ticks.
@@ -476,8 +482,10 @@ class World:
                     f"robot {indices[j] + 1} distance rose from {self.dh[indices[j]]} to "
                     f"{new[j]} (seed={self.config.seed}, step={step_})"
                 )
-        self.dh[indices] = new
-        self._record_row = self._frozen_distances()
+        row = self.dh.copy()
+        row[indices] = new
+        row.flags.writeable = False
+        self.dh = row
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -485,27 +493,27 @@ def run(config: RunConfig) -> RunTrace:
 
     The distance record starts at step 0 with the true initial distances
     (nominal vs reference PMF), so the first row is nonzero whenever features
-    exist. Fully deterministic given config.seed.
+    exist, and gains a change point on every tick that returns a new row.
+    Fully deterministic given config.seed.
     """
     world = World.from_config(config)
     cfg = world.config
     eps = cfg.epsilon
     snapshot_at = set(int(k) for k in cfg.snapshot_steps)
 
-    rows = [world.dh.copy()]
+    steps, rows = [0], [world.dh]
     robot_first = [0 if d < eps else None for d in world.dh]
     convergence_step = 0 if all(f == 0 for f in robot_first) else None
     snapshots = {}
     if 0 in snapshot_at:
         snapshots[0] = world.opinions()
 
-    last = None
     while convergence_step is None and world.k < cfg.max_steps:
         row = world.tick()
-        rows.append(row)
-        if row is not last:
+        if row is not rows[-1]:
             # a shared row means no distance changed, so nothing new converged
-            last = row
+            steps.append(world.k)
+            rows.append(row)
             for idx, dist in enumerate(row):
                 if robot_first[idx] is None and dist < eps:
                     robot_first[idx] = world.k
@@ -518,7 +526,9 @@ def run(config: RunConfig) -> RunTrace:
         seed=cfg.seed,
         mode=cfg.mode,
         carry=cfg.carry,
-        distances=np.array(rows),
+        change_steps=np.array(steps),
+        change_rows=np.array(rows),
+        step_count=world.k,
         robot_convergence=tuple(robot_first),
         convergence_step=convergence_step,
         censored=convergence_step is None,

@@ -9,7 +9,9 @@ the censored count reported alongside.
 File formats (all carry a version tag on the first line):
 
 * trace CSV: ``# gridfusion-trace v1`` then ``k,dh_1,...,dh_N`` and one row
-  per recorded step, starting at k = 0.
+  per step, starting at k = 0. A ``RunTrace`` keeps only the steps where some
+  distance changed, and the writer repeats each row until the next one, so
+  the file format is unchanged.
 * PMF snapshot CSV: ``# gridfusion-pmf v1 side=<c> step=<k> robot=<id>``
   then c rows of c comma-separated values; file row r is grid row r, printed
   south to north, columns west to east.
@@ -182,19 +184,16 @@ def run_sweep(config: RunConfig, robot_counts, modes, runs: int, master_seed: in
 
 
 def write_trace_csv(trace: RunTrace, path: Path) -> None:
-    path = Path(path)
+    """One line per step, streamed from the change points; each change row
+    is formatted once and repeated until the next change point."""
     n = trace.robot_count
-    header = "k," + ",".join(f"dh_{a}" for a in range(1, n + 1))
-    lines = [TRACE_TAG, header]
-    # most rows repeat the previous one and reuse its text; rows are compared
-    # by bit pattern, so 0.0 and -0.0 still print as written
-    keys = trace.distances.view(np.int64).tolist()
-    last = text = None
-    for k, (row, key) in enumerate(zip(trace.distances.tolist(), keys)):
-        if key != last:
-            last, text = key, ",".join(map(repr, row))
-        lines.append(f"{k},{text}")
-    path.write_text("\n".join(lines) + "\n")
+    starts = trace.change_steps.tolist()
+    ends = [*starts[1:], trace.step_count + 1]
+    with open(path, "w") as out:
+        out.write(f"{TRACE_TAG}\nk," + ",".join(f"dh_{a}" for a in range(1, n + 1)) + "\n")
+        for start, end, row in zip(starts, ends, trace.change_rows.tolist()):
+            text = "," + ",".join(map(repr, row)) + "\n"
+            out.writelines(f"{k}{text}" for k in range(start, end))
 
 
 def write_pmf_csv(pmf: np.ndarray, side_count: int, path: Path, step, robot) -> None:

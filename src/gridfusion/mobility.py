@@ -17,22 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-UNIFORM_BLOCK = 4096
-
 
 class RngStream:
-    """Buffered float64 uniform stream over a PCG64 generator.
+    """float64 uniform stream over a PCG64 generator."""
 
-    Buffering in blocks is invisible: numpy fills blocks with the same value
-    sequence that repeated single draws produce.
-    """
-
-    __slots__ = ("generator", "_buffer", "_next")
+    __slots__ = ("generator",)
 
     def __init__(self, generator: np.random.Generator):
         self.generator = generator
-        self._buffer = np.empty(0)
-        self._next = 0
 
     @classmethod
     def from_seed(cls, run_seed: int, key: int) -> "RngStream":
@@ -47,17 +39,7 @@ class RngStream:
 
     def take(self, n: int) -> np.ndarray:
         """The next n uniforms, exactly as n calls of :meth:`uniform` return them."""
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            if self._next >= self._buffer.size:
-                self._buffer = self.generator.random(UNIFORM_BLOCK)
-                self._next = 0
-            count = min(n - filled, self._buffer.size - self._next)
-            out[filled:filled + count] = self._buffer[self._next:self._next + count]
-            self._next += count
-            filled += count
-        return out
+        return self.generator.random(n)
 
 
 def transition_supports(transition_matrix: np.ndarray) -> tuple:

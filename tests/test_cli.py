@@ -146,3 +146,18 @@ def test_unwritable_output_exits_1_without_traceback(tmp_path, capsys):
     assert main(["run", "--max-steps", "5", "--out", str(blocker / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--grid-size", "256", "--features", "circle:128,128,40", "--max-steps", "10"],
+    ["analyze", "--grid-size", "256"],
+])
+def test_out_of_memory_exits_1_without_traceback(tmp_path, capsys, monkeypatch, argv):
+    # a 256x256 grid's dense transition matrix asks for 32 GiB; fake the failure
+    def refuse(grid):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array with shape (65536, 65536)")
+
+    monkeypatch.setattr("gridfusion.spatial.build_transition_matrix", refuse)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "32.0 GiB" in err and "Traceback" not in err

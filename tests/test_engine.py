@@ -303,6 +303,25 @@ def test_robot_convergence_steps_match_distance_rows():
     assert trace.convergence_step == trace.distances.shape[0] - 1
 
 
+@pytest.mark.parametrize("config", [
+    RunConfig(seed=13),
+    RunConfig(seed=3, carry="chernoff", max_steps=800),
+    RunConfig(side_count=16, features="circle:8,8,5", robot_count=3, seed=0,
+              mode="no-consensus", max_steps=3000),
+])
+def test_change_points_cover_every_distance_change(config):
+    trace = run(config)
+    steps = trace.change_steps
+    assert steps[0] == 0 and np.all(np.diff(steps) > 0)
+    assert steps[-1] <= trace.step_count == trace.distances.shape[0] - 1
+    bits = trace.distances.view(np.int64)
+    changed = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
+    assert set(changed.tolist()) <= set(steps.tolist())
+    assert np.array_equal(trace.distances[steps], trace.change_rows)
+    if config.mode == "no-consensus":
+        assert trace.censored and len(steps) * 20 < trace.step_count
+
+
 def test_chernoff_carry_runs_deterministically():
     cfg = RunConfig(seed=3, carry="chernoff", max_steps=800)
     a = run(cfg)

@@ -17,7 +17,6 @@ from gridfusion import fusion
 from gridfusion.engine import DEFAULT_FEATURES, Encounter, RunConfig, build_comm_graph, run
 from gridfusion.metrics import hellinger_batch
 from gridfusion.mobility import (
-    UNIFORM_BLOCK,
     RngStream,
     initialize_robots,
     sample_next,
@@ -168,10 +167,10 @@ def test_engine_matches_reference_tick(config):
 
 
 def test_engine_matches_reference_across_uniform_blocks():
-    # two far-apart features on a 30x30 grid keep the run going past one
-    # 4096-uniform block of every robot's stream
+    # two far-apart features on a 30x30 grid keep the run going past 4096
+    # ticks, and so past 4096 draws from every robot's stream
     config = RunConfig(side_count=30, features=(1, 900), robot_count=3, seed=2,
-                       max_steps=UNIFORM_BLOCK + 400, snapshot_steps=(0, 4096, 4097))
+                       max_steps=4096 + 400, snapshot_steps=(0, 4096, 4097))
     expected = reference_run(config)
     assert expected["censored"]
     assert_same_trace(run(config), expected)

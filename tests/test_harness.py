@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from gridfusion.engine import DEFAULT_FEATURES, RunConfig, run
+from gridfusion.engine import DEFAULT_FEATURES, RunConfig, RunTrace, run
 from gridfusion.errors import ConfigError
 from gridfusion.harness import (
     McSummary,
@@ -133,6 +133,65 @@ def test_trace_csv_round_trip(tmp_path):
     steps, dists = read_trace_csv(path)
     assert steps.tolist() == list(range(trace.distances.shape[0]))
     assert np.array_equal(dists, trace.distances)  # repr round-trips exactly
+
+
+def reference_write_trace_csv(trace: RunTrace, path) -> None:
+    """The whole-array writer: every row of the expanded distance matrix."""
+    n = trace.robot_count
+    header = "k," + ",".join(f"dh_{a}" for a in range(1, n + 1))
+    lines = ["# gridfusion-trace v1", header]
+    keys = trace.distances.view(np.int64).tolist()
+    last = text = None
+    for k, (row, key) in enumerate(zip(trace.distances.tolist(), keys)):
+        if key != last:
+            last, text = key, ",".join(map(repr, row))
+        lines.append(f"{k},{text}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def assert_writers_agree(trace, tmp_path):
+    write_trace_csv(trace, tmp_path / "streamed.csv")
+    reference_write_trace_csv(trace, tmp_path / "reference.csv")
+    streamed = (tmp_path / "streamed.csv").read_bytes()
+    assert streamed == (tmp_path / "reference.csv").read_bytes()
+    assert streamed.count(b"\n") == trace.step_count + 3
+
+
+@pytest.mark.parametrize("carry", ["occupancy", "chernoff"])
+def test_trace_writer_matches_whole_array_writer_on_sweeps(tmp_path, carry):
+    config = tiny_config(carry=carry, max_steps=400)
+    _, traces = run_sweep(config, [1, 3], ["consensus", "no-consensus"], 2, 4)
+    for block in traces.values():
+        for trace in block:
+            assert_writers_agree(trace, tmp_path)
+    assert any(t.censored for block in traces.values() for t in block)
+
+
+def hand_built_trace(steps, rows, step_count):
+    rows = np.array(rows, dtype=float)
+    return RunTrace(seed=0, mode="consensus", carry="occupancy",
+                    change_steps=np.array(steps), change_rows=rows, step_count=step_count,
+                    robot_convergence=(None,) * rows.shape[1], convergence_step=None,
+                    censored=True, encounters=(), snapshots={}, final_pmfs=rows[-1:],
+                    final_masks=np.zeros((rows.shape[1], 1), dtype=bool))
+
+
+@pytest.mark.parametrize("steps, rows, step_count", [
+    ([0, 2, 3, 4, 7], [[0.0, -0.0], [-0.0, 0.0], [np.nan, 1e-17], [np.nan, 1e-17],
+                       [1e-17, -np.nan]], 9),
+    ([0, 1, 2], [[0.5], [-0.0], [0.0]], 2),
+    ([0], [[np.nan, 0.0, -0.0]], 0),
+    ([0], [[1e-17, 0.25]], 5),
+])
+def test_trace_writer_matches_whole_array_writer_on_edge_values(tmp_path, steps, rows,
+                                                                step_count):
+    assert_writers_agree(hand_built_trace(steps, rows, step_count), tmp_path)
+
+
+def test_trace_writer_on_a_run_that_converges_at_step_zero(tmp_path):
+    trace = run(tiny_config(epsilon=1.1))
+    assert trace.convergence_step == 0 and trace.change_steps.tolist() == [0]
+    assert_writers_agree(trace, tmp_path)
 
 
 def test_reference_pmf_snapshot_grid_shaped(tmp_path):

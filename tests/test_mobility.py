@@ -27,6 +27,14 @@ def test_stream_buffering_matches_plain_generator():
     assert drawn == plain.random(10_000).tolist()
 
 
+def test_stream_first_uniforms_are_pinned():
+    # the randomness contract: any change here changes every trace
+    assert [make_stream(0, 1).take(3).tolist(), make_stream(12, 3).take(3).tolist()] == [
+        [0.8897387912781343, 0.5571380502062263, 0.8009080868919721],
+        [0.9890340859160724, 0.16901016502642952, 0.25858622291701916],
+    ]
+
+
 def test_stream_keys_are_independent():
     a = [make_stream(0, 1).uniform() for _ in range(8)]
     b = [make_stream(0, 2).uniform() for _ in range(8)]
