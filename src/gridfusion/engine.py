@@ -78,8 +78,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not _is_int(self.side_count) or self.side_count < 1:
             raise ConfigError(f"side_count must be a positive integer, got {self.side_count!r}")
-        if not self.spacing > 0:
-            raise ConfigError(f"spacing must be positive, got {self.spacing!r}")
+        for name in ("spacing", "step_seconds"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if not _is_int(self.robot_count) or self.robot_count < 1:
             raise ConfigError(f"robot_count must be a positive integer, got {self.robot_count!r}")
         if not 0.5 < self.level < 1.0:
@@ -101,8 +102,6 @@ class RunConfig:
             raise ConfigError(
                 f"snapshot_steps must be non-negative integers, got {self.snapshot_steps!r}"
             )
-        if not self.step_seconds > 0:
-            raise ConfigError(f"step_seconds must be positive, got {self.step_seconds!r}")
         features = self.resolve_features()
         if self.carry == "occupancy":
             self._check_monotone_distance(set(features))
@@ -205,23 +204,19 @@ def build_comm_graph(positions, grid: spatial.SpatialGrid, comm_radius: float):
                 neighbor_sets[a] = frozenset(b for b in members if b != a)
             groups.append((node, tuple(members)))
     else:
-        coords = np.array([grid.node_position(int(node)) for node in positions])
-        diff = coords[:, None, :] - coords[None, :, :]
-        adj = (diff**2).sum(axis=2) <= comm_radius**2
-        np.fill_diagonal(adj, False)
-        for idx, row in enumerate(adj):
-            nbrs = np.flatnonzero(row)
-            if nbrs.size:
-                neighbor_sets[idx + 1] = frozenset(int(b) + 1 for b in nbrs)
-        import scipy.sparse as sp  # slow import, rare path
-        from scipy.sparse.csgraph import connected_components
-
-        labels = connected_components(sp.csr_array(adj), directed=False)[1]
-        for label in np.unique(labels):
-            members = tuple(int(i) + 1 for i in np.flatnonzero(labels == label))
-            if len(members) > 1:
-                groups.append((int(positions[members[0] - 1]), members))
-    groups.sort(key=lambda item: item[1][0])
+        xy = grid.coordinates[np.asarray(positions) - 1]
+        with np.errstate(over="ignore"):  # a huge radius squares to inf: all in range
+            adj = ((xy[:, None] - xy[None]) ** 2).sum(axis=2) <= np.square(comm_radius)
+        # adj holds self-loops, so row a of its transitive closure is robot a's component
+        reach, wider = None, adj
+        while not np.array_equal(reach, wider):
+            reach, wider = wider, wider @ wider
+        for a in np.flatnonzero(adj.sum(axis=1) > 1).tolist():
+            # inserted in ascending id: metropolis_weights sums in iteration order
+            neighbor_sets[a + 1] = frozenset(b + 1 for b in np.flatnonzero(adj[a]).tolist() if b != a)
+            members = np.flatnonzero(reach[a])
+            if members[0] == a:
+                groups.append((int(positions[a]), tuple((members + 1).tolist())))
     return neighbor_sets, groups
 
 

@@ -4,8 +4,8 @@ Node ids are 1-based, row-major from the south-west corner: node 1 is the
 south-west corner, node c the south-east corner, and node c*(c-1)+1 the
 north-west corner. For node i, row r = (i-1)//c + 1 (south to north) and
 column q = (i-1) % c + 1 (west to east); its position in meters is
-((q-1)*spacing, (r-1)*spacing). Arrays indexed by node store node i at
-position i-1.
+((q-1)*spacing, (r-1)*spacing), row i-1 of ``SpatialGrid.coordinates``.
+Arrays indexed by node store node i at position i-1.
 """
 
 from __future__ import annotations
@@ -48,21 +48,25 @@ class SpatialGrid:
             raise IndexError(f"node {node} outside [1, {self.node_count}]")
         return (node - 1) // self.side_count + 1, (node - 1) % self.side_count + 1
 
-    def node_position(self, node: int) -> tuple[float, float]:
-        """(x, y) coordinates in meters of a node's grid point."""
-        row, col = self.node_row_col(node)
-        return (col - 1) * self.spacing, (row - 1) * self.spacing
+    @cached_property
+    def coordinates(self) -> np.ndarray:
+        """Read-only S x 2 array of each node's (x, y) in meters; node i at row i - 1."""
+        cells = np.arange(self.node_count)
+        xy = np.stack([cells % self.side_count, cells // self.side_count], axis=1) * self.spacing
+        xy.flags.writeable = False
+        return xy
 
 
 def build_grid(side_count: int, spacing: float) -> SpatialGrid:
     """Build the c-by-c grid graph with 4-connectivity.
 
-    Raises ConfigError for side_count < 1 or non-positive spacing.
+    Raises ConfigError for side_count < 1 or a spacing that is not positive
+    and finite.
     """
     if not isinstance(side_count, (int, np.integer)) or side_count < 1:
         raise ConfigError(f"side_count must be a positive integer, got {side_count!r}")
-    if not spacing > 0:
-        raise ConfigError(f"spacing must be positive, got {spacing!r}")
+    if not 0 < spacing < np.inf:
+        raise ConfigError(f"spacing must be positive and finite, got {spacing!r}")
     c = int(side_count)
     n = c * c
     node = np.arange(1, n + 1)
@@ -152,13 +156,13 @@ class CompositeChain:
     States are tuples (i_1, ..., i_N) of 1-based node ids, enumerated in
     lexicographic order with robot 1 most significant, so the tuple at flat
     index m satisfies m = sum_a (i_a - 1) * S^(N - a). Transitions are stored
-    as a sparse CSR matrix with entries q = prod_a p[i_a, j_a].
+    as a scipy.sparse.csr_array with entries q = prod_a p[i_a, j_a].
     """
 
     robot_count: int
     node_count: int
     state_count: int
-    transition: sp.csr_array
+    transition: object  # scipy.sparse.csr_array; scipy is imported on first use
 
     def state_index(self, state: tuple) -> int:
         if len(state) != self.robot_count:

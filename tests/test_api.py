@@ -15,11 +15,10 @@ def test_every_public_name_resolves():
         assert getattr(gridfusion, name) is not None, name
 
 
-# scipy costs about 250 ms per launch and yaml a few more; only `analyze`,
-# comm_radius >= spacing and config files need them, and they import them
-# on first use. The process pool's machinery (concurrent.futures and
-# multiprocessing) loads only where a batch with more than one worker starts
-# its pool.
+# scipy costs about 250 ms per launch and yaml a few more; only `analyze`
+# and config files need them, and they import them on first use. The process
+# pool's machinery (concurrent.futures and multiprocessing) loads only where
+# a batch with more than one worker starts its pool.
 HEAVY = ("scipy", "yaml", "concurrent", "multiprocessing")
 NO_HEAVY_MODULE = (
     "loaded = sorted(m for m in sys.modules if m.split('.')[0] in {heavy!r}); "
@@ -48,3 +47,12 @@ def test_batch_command_runs_without_scipy_or_yaml(tmp_path):
     result = run_python(code)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "summary.json").is_file()
+
+
+def test_wide_radius_run_leaves_scipy_unloaded():
+    code = (
+        "import sys; from gridfusion.engine import RunConfig, run; "
+        "run(RunConfig(robot_count=8, comm_radius=0.7, max_steps=300)); " + NO_HEAVY_MODULE
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr

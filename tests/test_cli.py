@@ -116,6 +116,16 @@ def test_wide_comm_radius_runs(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("radius", ["1e200", "1e300", "inf"])
+def test_huge_comm_radius_runs_without_warnings(tmp_path, capsys, radius):
+    # the squared radius overflows to inf, which puts every robot in range
+    code = main([
+        "run", "--robots", "8", "--comm-radius", radius, "--out", str(tmp_path / "o"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv,yaml_text", [
     (["run", "--snapshot-steps", "1.5"], None),
     (["batch", "--robots", "4,x"], None),
@@ -123,6 +133,9 @@ def test_wide_comm_radius_runs(tmp_path):
     (["run", "--features", "circle:nan,4,2"], None),
     (["run", "--features", "circle:4,5,inf"], None),
     (["run", "--features", "circle:4,5,nan"], None),
+    (["run", "--step-seconds", "inf"], None),
+    (["run", "--spacing", "inf", "--comm-radius", "inf"], None),
+    (["run"], "run: {spacing: .inf}"),
     (["run"], "run: {features: [a]}"),
     (["run"], "run: {spacing: abc}"),
     (["run"], "run: {features: [19.5, 20]}"),

@@ -1,8 +1,9 @@
 """Every configuration either runs or is rejected with ConfigError.
 
 Hypothesis draws each RunConfig field from a mix of plausible values and
-junk (wrong types, NaN, negatives, bools), on grids of at most 4x4 with at
-most 40 steps, and checks the library and the CLI: a run either succeeds or
+junk (wrong types, NaN, negatives, bools), or every field from values that
+validate (huge finite reals included), on grids of at most 4x4 with at most
+40 steps, and checks the library and the CLI: a run either succeeds or
 raises ConfigError, and the CLI exits 0, 1 or 2 without a traceback.
 """
 
@@ -17,7 +18,7 @@ from gridfusion.engine import RunConfig, RunTrace, run
 from gridfusion.errors import ConfigError
 
 JUNK = st.sampled_from([None, "abc", "", True, False, -1, 0, 1.5, math.nan, math.inf, [1], {}])
-REALS = st.floats(-1.0, 4.0)
+REALS = st.one_of(st.floats(-1.0, 4.0), st.sampled_from([1e200, 1e300]))
 FEATURES = st.one_of(
     st.lists(st.integers(-1, 17), max_size=6),
     st.lists(st.one_of(st.integers(1, 16), st.floats(1, 16), st.text(max_size=2)), max_size=3),
@@ -41,11 +42,31 @@ FIELDS = {
     "step_seconds": st.one_of(REALS, JUNK),
 }
 
-# any subset of fields, each from its strategy; unset fields keep defaults
-# except that the grid and horizon stay small
+# values RunConfig.validate accepts, huge finite reals included, so that runs
+# and not only rejections are drawn (junk in any one field rejects a config)
+POSITIVE = st.one_of(st.floats(0.01, 4.0), st.sampled_from([1e200, 1e300]))
+VALID = {
+    "spacing": POSITIVE,
+    "robot_count": st.integers(1, 5),
+    "level": st.floats(0.55, 0.95),
+    "features": st.builds("circle:{},{},{}".format, *[st.integers(0, 4)] * 3),
+    "epsilon": st.floats(0.001, 0.05),
+    "mode": st.sampled_from(["consensus", "no-consensus"]),
+    "carry": st.sampled_from(["occupancy", "chernoff"]),
+    "seed": st.integers(0, 2**40),
+    "comm_radius": st.one_of(st.just(0.0), POSITIVE),
+    "snapshot_steps": st.lists(st.integers(0, 45), max_size=3),
+    "step_seconds": POSITIVE,
+}
+
+# any subset of fields, each from its strategy, or every field in range;
+# unset fields keep defaults except that the grid and horizon stay small
 SMALL = {"side_count": st.integers(1, 4), "max_steps": st.integers(1, 40)}
-CONFIGS = st.fixed_dictionaries(
-    SMALL, optional={name: field for name, field in FIELDS.items() if name not in SMALL}
+CONFIGS = st.one_of(
+    st.fixed_dictionaries(
+        SMALL, optional={name: field for name, field in FIELDS.items() if name not in SMALL}
+    ),
+    st.fixed_dictionaries({**SMALL, **VALID}),
 )
 
 

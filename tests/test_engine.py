@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfusion.engine import (
     DEFAULT_FEATURES,
@@ -51,6 +54,10 @@ def test_config_rejects_bad_fields():
         dict(features=(1.5,)),
         dict(snapshot_steps=(-1,)),
         dict(step_seconds=0.0),
+        dict(step_seconds=math.inf),
+        dict(step_seconds=math.nan),
+        dict(spacing=math.inf),
+        dict(spacing=math.inf, comm_radius=math.inf),
         dict(features=(0, 19)),
         dict(features=(65,)),
         dict(features="ring:1,2,3"),
@@ -148,6 +155,48 @@ def test_comm_graph_small_radius_means_colocation():
     grid = build_grid(8, 0.7)
     graph, groups = build_comm_graph(np.array([1, 2]), grid, 0.3)
     assert graph == {} and groups == []
+
+
+def reference_comm_graph(positions, grid, comm_radius):
+    """Neighbor sets and groups from scipy's connected_components on the
+    graph of robots whose grid points lie within comm_radius (any robots on
+    one node when comm_radius is below the spacing)."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    xy = []
+    for node in positions:
+        row, col = grid.node_row_col(node)
+        xy.append(((col - 1) * grid.spacing, (row - 1) * grid.spacing))
+    reach = comm_radius * comm_radius if comm_radius >= grid.spacing else 0.0
+
+    def in_range(a, b):
+        dx, dy = xy[a][0] - xy[b][0], xy[a][1] - xy[b][1]
+        return a != b and dx * dx + dy * dy <= reach
+
+    n = len(positions)
+    adj = np.array([[in_range(a, b) for b in range(n)] for a in range(n)])
+    neighbor_sets = {a + 1: frozenset(int(b) + 1 for b in np.flatnonzero(adj[a]))
+                     for a in range(n) if adj[a].any()}
+    labels = connected_components(csr_array(adj), directed=False)[1]
+    components = [np.flatnonzero(labels == label) + 1 for label in np.unique(labels)]
+    groups = [(positions[m[0] - 1], tuple(m.tolist())) for m in components if m.size > 1]
+    return neighbor_sets, sorted(groups, key=lambda group: group[1][0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    positions=st.lists(st.integers(1, 64), min_size=1, max_size=16),
+    # 1e200 squares to inf, which puts every robot in range
+    comm_radius=st.sampled_from([0.0, 0.7, 1.0, 1.5, 3.0, 1e200, math.inf]),
+)
+def test_comm_graph_matches_scipy_components(positions, comm_radius):
+    grid = build_grid(8, 0.7)
+    got = build_comm_graph(np.array(positions), grid, comm_radius)
+    want = reference_comm_graph(positions, grid, comm_radius)
+    assert got == want
+    # metropolis_weights sums in the sets' iteration order, so it is pinned too
+    assert {a: list(s) for a, s in got[0].items()} == {a: list(s) for a, s in want[0].items()}
 
 
 # ---------------------------------------------------------------------------

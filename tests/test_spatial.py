@@ -1,8 +1,12 @@
+import typing
+
 import numpy as np
 import pytest
 
 from gridfusion.errors import CompositeSizeError, ConfigError
 from gridfusion.spatial import (
+    CompositeChain,
+    SpatialGrid,
     build_composite_chain,
     build_grid,
     build_transition_matrix,
@@ -99,9 +103,26 @@ def test_grid_row_major_from_south_west():
     assert grid.node_row_col(1) == (1, 1)
     assert grid.node_row_col(8) == (1, 8)
     assert grid.node_row_col(57) == (8, 1)
-    assert grid.node_position(1) == (0.0, 0.0)
-    x, y = grid.node_position(10)  # row 2, col 2
+    assert grid.coordinates[0].tolist() == [0.0, 0.0]
+    x, y = grid.coordinates[9]  # node 10: row 2, col 2
     assert x == pytest.approx(0.7) and y == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("c,spacing", [(1, 0.7), (8, 0.7), (13, 1 / 3), (5, 2.5)])
+def test_coordinates_are_column_and_row_times_spacing(c, spacing):
+    grid = build_grid(c, spacing)
+    xy = grid.coordinates
+    assert xy.shape == (c * c, 2) and not xy.flags.writeable
+    assert grid.coordinates is xy
+    for node in range(1, c * c + 1):
+        row, col = grid.node_row_col(node)
+        # bitwise: the engine's in-range test compares these exact floats
+        assert xy[node - 1].tolist() == [(col - 1) * spacing, (row - 1) * spacing]
+
+
+def test_type_hints_resolve_without_scipy():
+    for cls in (SpatialGrid, CompositeChain):
+        typing.get_type_hints(cls)
 
 
 def test_grid_rejects_bad_configuration():
@@ -111,6 +132,8 @@ def test_grid_rejects_bad_configuration():
         build_grid(8, 0.0)
     with pytest.raises(ConfigError):
         build_grid(8, -1.0)
+    with pytest.raises(ConfigError):
+        build_grid(8, float("inf"))
 
 
 def test_transition_corner_row():
