@@ -46,11 +46,9 @@ _FLAG_PARSERS = {
 }
 
 
-def _build_config(args, robot_count: int, mode: str) -> RunConfig:
-    if args.config:
-        config, _ = harness.load_config(args.config)
-    else:
-        config = RunConfig()
+def _build_config(args, robot_count: int, mode: str) -> tuple:
+    """(validated RunConfig, the config file's batch section or {}) from --config and flags."""
+    config, batch = harness.load_config(args.config) if args.config else (RunConfig(), {})
     overrides = {
         f.name: _FLAG_PARSERS.get(f.name, lambda value: value)(getattr(args, f.name))
         for f in dataclasses.fields(RunConfig)
@@ -58,7 +56,7 @@ def _build_config(args, robot_count: int, mode: str) -> RunConfig:
     }
     overrides["robot_count"] = robot_count
     overrides["mode"] = mode
-    return dataclasses.replace(config, **overrides).validate()
+    return dataclasses.replace(config, **overrides).validate(), batch
 
 
 def _reference_pmf(config: RunConfig) -> np.ndarray:
@@ -71,7 +69,7 @@ def _reference_pmf(config: RunConfig) -> np.ndarray:
 
 
 def _cmd_run(args) -> int:
-    config = _build_config(args, args.robots, args.mode)
+    config, _ = _build_config(args, args.robots, args.mode)
     traces = [run_single(config)]
     block = harness.summarize_block(config.mode, config.robot_count, traces)
     summary = harness.McSummary(
@@ -103,8 +101,7 @@ def _cmd_batch(args) -> int:
     if not robot_counts:
         raise ConfigError("--robots must list at least one robot count")
     modes = list(MODES) if args.mode == "both" else [args.mode]
-    config = _build_config(args, robot_counts[0], modes[0])
-    batch_section = harness.load_config(args.config)[1] if args.config else {}
+    config, batch_section = _build_config(args, robot_counts[0], modes[0])
     runs = args.runs if args.runs is not None else batch_section.get("runs", 100)
     workers = args.workers if args.workers is not None else batch_section.get("workers", 1)
     summary, traces_by_block = harness.run_sweep(

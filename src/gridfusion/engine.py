@@ -29,6 +29,7 @@ import numpy as np
 from . import fusion, mobility, occupancy, spatial
 from .errors import ConfigError, EngineInvariantError
 from .metrics import hellinger_batch
+from .spatial import _is_int, _is_real
 
 MODES = ("consensus", "no-consensus")
 CARRY_MODES = ("occupancy", "chernoff")
@@ -42,16 +43,6 @@ MONOTONE_SLACK = 1e-12
 # World plans every robot's walk this many ticks ahead; a run draws at most
 # PLAN_TICKS - 1 uniforms per robot past its end.
 PLAN_TICKS = 32
-
-
-def _is_int(value) -> bool:
-    """An integer that is not a bool (True would otherwise count as 1)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A real number that is not a bool; NaN passes and fails the range tests."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,14 +64,13 @@ class RunConfig:
     step_seconds: float = 1.0
 
     def validate(self) -> "RunConfig":
-        for name in ("spacing", "level", "epsilon", "comm_radius", "step_seconds"):
+        for name in ("level", "epsilon", "comm_radius", "step_seconds"):
             if not _is_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not _is_int(self.side_count) or self.side_count < 1:
-            raise ConfigError(f"side_count must be a positive integer, got {self.side_count!r}")
-        for name in ("spacing", "step_seconds"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        spatial.check_grid_args(self.side_count, self.spacing)
+        if not 0 < self.step_seconds < math.inf:
+            raise ConfigError(f"step_seconds must be positive and finite, "
+                              f"got {self.step_seconds!r}")
         if not _is_int(self.robot_count) or self.robot_count < 1:
             raise ConfigError(f"robot_count must be a positive integer, got {self.robot_count!r}")
         if not 0.5 < self.level < 1.0:
@@ -230,14 +220,11 @@ class RunTrace:
     """
 
     seed: int
-    mode: str
-    carry: str
     change_steps: np.ndarray
     change_rows: np.ndarray
     step_count: int
     robot_convergence: tuple
     convergence_step: Optional[int]
-    censored: bool
     encounters: tuple
     snapshots: dict
     final_pmfs: np.ndarray
@@ -253,6 +240,11 @@ class RunTrace:
     @property
     def robot_count(self) -> int:
         return self.change_rows.shape[1]
+
+    @property
+    def censored(self) -> bool:
+        """The run ended at max_steps without converging."""
+        return self.convergence_step is None
 
 
 class World:
@@ -416,20 +408,18 @@ class World:
             return []
         masks = self.masks[idx]
         opinions = self._pmf_rows(masks) if self._carried is None else self._carried[idx]
-        fused = None
-        if self.config.comm_radius < self.grid.spacing:
-            fused = self._fuse_clique(opinions)
-        if fused is None:
-            row_of = dict(zip(members, opinions))
-            fused = []
-            for a in members:
-                weights = fusion.metropolis_weights(
-                    a, {b: len(neighbor_sets[b]) for b in neighbor_sets[a]}
-                )
-                fused.append(fusion.chernoff_fuse(
-                    [(row_of[b], w) for b, w in sorted(weights.items())]
-                ))
-            fused = np.array(fused)
+        row_of = dict(zip(members, opinions))
+        lists = []
+        for a in members:
+            weights = fusion.metropolis_weights(
+                a, {b: len(neighbor_sets[b]) for b in neighbor_sets[a]}
+            )
+            lists.append(tuple(sorted(weights.items())))
+        # members with equal (id, weight) lists fuse the same input, so each
+        # distinct list is fused once
+        fused_rows = {key: fusion.chernoff_fuse([(row_of[b], w) for b, w in key])
+                      for key in set(lists)}
+        fused = np.array([fused_rows[key] for key in lists])
         merged = masks | (fused > self._f_nom)
         grew = [i for i, g in zip(idx, (merged != masks).any(axis=1)) if g]
         if grew:
@@ -449,21 +439,6 @@ class World:
         if grew:
             self._carried[grew] = self._pmf_rows(self.masks[grew])
         return idx
-
-    def _fuse_clique(self, opinions: np.ndarray):
-        """One fused PMF shared by every member of a co-located group, or
-        None when the members' weight lists differ.
-
-        Every member of a clique of g gives 1/g to each neighbor and the rest
-        to itself. When the rest equals 1/g bitwise (g = 2, 4, 8, ...) all
-        members fuse the same weighted list, so it is fused once.
-        """
-        g = len(opinions)
-        weights = fusion.metropolis_weights(1, {b: g - 1 for b in range(2, g + 1)})
-        own = weights.self_weight
-        if own != weights.weights[2]:
-            return None
-        return fusion.chernoff_fuse([(f, own) for f in opinions])
 
     def _refresh_distances(self, indices: list, step_: int) -> None:
         if self._carried is not None:
@@ -519,14 +494,11 @@ def run(config: RunConfig) -> RunTrace:
 
     return RunTrace(
         seed=cfg.seed,
-        mode=cfg.mode,
-        carry=cfg.carry,
         change_steps=np.array(steps),
         change_rows=np.array(rows),
         step_count=world.k,
         robot_convergence=tuple(robot_first),
         convergence_step=convergence_step,
-        censored=convergence_step is None,
         encounters=tuple(world.encounters),
         snapshots=snapshots,
         final_pmfs=world.opinions(),

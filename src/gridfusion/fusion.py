@@ -28,10 +28,6 @@ class FusionWeights:
     def items(self):
         return self.weights.items()
 
-    @property
-    def self_weight(self) -> float:
-        return self.weights[self.robot_id]
-
 
 def metropolis_weights(robot_id: int, neighbor_degrees) -> FusionWeights:
     """Max-degree Metropolis-Hastings weights for one fusion step.

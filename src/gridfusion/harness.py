@@ -29,8 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import MODES, RunConfig, RunTrace, _is_int, run
+from .engine import MODES, RunConfig, RunTrace, run
 from .errors import ConfigError
+from .spatial import _is_int
 
 CONFIG_FORMAT = "gridfusion-config/1"
 SUMMARY_FORMAT = "gridfusion-summary/1"

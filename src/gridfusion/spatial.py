@@ -57,16 +57,34 @@ class SpatialGrid:
         return xy
 
 
-def build_grid(side_count: int, spacing: float) -> SpatialGrid:
-    """Build the c-by-c grid graph with 4-connectivity.
+def _is_int(value) -> bool:
+    """An integer that is not a bool (True would otherwise count as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
-    Raises ConfigError for side_count < 1 or a spacing that is not positive
-    and finite.
-    """
-    if not isinstance(side_count, (int, np.integer)) or side_count < 1:
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool; NaN passes and fails the range tests."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def check_grid_args(side_count, spacing) -> None:
+    """Raise ConfigError unless side_count is a positive integer, spacing is
+    positive and finite, and the squared diagonal 2 * ((side_count - 1) *
+    spacing)^2 is finite, so no squared distance on the grid overflows."""
+    if not _is_int(side_count) or side_count < 1:
         raise ConfigError(f"side_count must be a positive integer, got {side_count!r}")
-    if not 0 < spacing < np.inf:
+    if not _is_real(spacing) or not 0 < spacing < np.inf:
         raise ConfigError(f"spacing must be positive and finite, got {spacing!r}")
+    span = (int(side_count) - 1) * float(spacing)
+    if not np.isfinite(2 * span * span):
+        raise ConfigError(f"spacing {spacing!r} on {side_count} nodes per side overflows "
+                          f"the squared diagonal")
+
+
+def build_grid(side_count: int, spacing: float) -> SpatialGrid:
+    """Build the c-by-c grid graph with 4-connectivity; check_grid_args
+    rules on the arguments."""
+    check_grid_args(side_count, spacing)
     c = int(side_count)
     n = c * c
     node = np.arange(1, n + 1)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gridfusion import harness
 from gridfusion.cli import main
 from gridfusion.harness import save_config
 from gridfusion.engine import RunConfig
@@ -68,6 +69,19 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert code == 0
     doc = json.loads((out / "summary.json").read_text())
     assert doc["blocks"][0]["robot_count"] == 3
+
+
+def test_batch_reads_its_config_file_once(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "config.yaml"
+    save_config(RunConfig(max_steps=50), cfg_path, batch={"runs": 2})
+    calls = []
+    real = harness.load_config
+    monkeypatch.setattr(harness, "load_config", lambda path: calls.append(path) or real(path))
+    code = main(["batch", "--config", str(cfg_path), "--robots", "2",
+                 "--out", str(tmp_path / "o")])
+    assert code == 0 and calls == [cfg_path]
+    doc = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert doc["blocks"][0]["runs"] == 2
 
 
 def test_analyze_command_reports_chain_facts(tmp_path):

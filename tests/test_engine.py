@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridfusion import fusion
 from gridfusion.engine import (
     DEFAULT_FEATURES,
     RunConfig,
@@ -237,6 +238,42 @@ def test_fusion_unions_occupied_sets_through_a_tick():
     assert world.encounters[0].node not in DEFAULT_FEATURES
     for idx in range(2):
         assert (np.flatnonzero(world.masks[idx]) + 1).tolist() == [19, 20]
+
+
+def chernoff_fuse_calls(monkeypatch, positions, comm_radius):
+    """chernoff_fuse calls made by one World._fuse_group on robots at the
+    given nodes (one encounter group), robot a knowing only feature a."""
+    n = len(positions)
+    grid = build_grid(8, 0.7)
+    field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
+    masks = np.zeros((n, 64), dtype=bool)
+    masks[np.arange(n), np.array(DEFAULT_FEATURES[:n]) - 1] = True
+    world = World(grid, field, RunConfig(robot_count=n, comm_radius=comm_radius), positions,
+                  masks, [RngStream.from_seed(0, a) for a in range(1, n + 1)])
+    neighbor_sets, [(_, members)] = build_comm_graph(world.positions, grid, comm_radius)
+    calls = []
+    real = fusion.chernoff_fuse
+    monkeypatch.setattr(fusion, "chernoff_fuse", lambda pairs: calls.append(1) or real(pairs))
+    world._fuse_group(neighbor_sets, members, 1)
+    return len(calls)
+
+
+@pytest.mark.parametrize("positions, comm_radius, calls", [
+    # every member of a co-located group of 2 or 4 gives each robot 1/g
+    ([5, 5], 0.0, 1),
+    ([5, 5, 5, 5], 0.0, 1),
+    # in a group of 3 the self weight 1 - (1/3 + 1/3) is one ulp above 1/3,
+    # so the three lists differ
+    ([5, 5, 5], 0.0, 3),
+    # the same rule on the wide-radius path: a pair fuses once
+    ([1, 2], 0.7, 1),
+    ([5, 5], 0.7, 1),
+    # a chain 1-2-3: every member has its own list
+    ([1, 2, 3], 0.7, 3),
+])
+def test_fuse_group_fuses_each_distinct_weight_list_once(monkeypatch, positions, comm_radius,
+                                                         calls):
+    assert chernoff_fuse_calls(monkeypatch, positions, comm_radius) == calls
 
 
 def test_world_senses_exactly_the_features_it_lands_on():

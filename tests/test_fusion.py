@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfusion.engine import DEFAULT_FEATURES
 from gridfusion.fusion import chernoff_fuse, merge_occupancy, metropolis_weights
@@ -22,7 +24,6 @@ def random_occupancy(rng, size, level=0.8):
 def test_weights_colocated_pair():
     w = metropolis_weights(1, {2: 1})
     assert w.weights == {2: 0.5, 1: 0.5}
-    assert w.self_weight == 0.5
 
 
 def test_weights_isolated_robot():
@@ -35,7 +36,7 @@ def test_weights_three_colocated():
     w = metropolis_weights(1, {2: 2, 3: 2})
     assert w.weights[2] == pytest.approx(1 / 3, abs=1e-15)
     assert w.weights[3] == pytest.approx(1 / 3, abs=1e-15)
-    assert w.self_weight == pytest.approx(1 / 3, abs=1e-15)
+    assert w.weights[1] == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_weights_sum_to_one_for_random_cliques():
@@ -140,6 +141,42 @@ def test_fuse_rejects_bad_inputs():
         chernoff_fuse([(f, 0.5), (np.full(5, 0.2), 0.5)])
     with pytest.raises(ValueError):
         chernoff_fuse([(f, 1.5), (f, -0.5)])
+
+
+@st.composite
+def graphs_with_opinions(draw, size=5):
+    """A random graph on 1..n (n <= 8) as an edge list, and one strictly
+    positive PMF per robot."""
+    n = draw(st.integers(1, 8))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = [pair for pair in pairs if draw(st.booleans())]
+    raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n * size, max_size=n * size)))
+    raw = raw.reshape(n, size)
+    return edges, raw / raw.sum(axis=1, keepdims=True)
+
+
+def normalized_geometric_mean(pmfs):
+    g = np.exp(np.log(pmfs).mean(axis=0))
+    return g / g.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_opinions())
+def test_fusion_step_keeps_the_normalized_geometric_mean(case):
+    """Metropolis weights are symmetric with rows summing to 1, so the fused
+    log-opinions sum to the input log-opinions minus constants: one
+    simultaneous fusion step leaves the normalized geometric mean in place."""
+    edges, pmfs = case
+    neighbors = {a: set() for a in range(1, len(pmfs) + 1)}
+    for a, b in edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    fused = []
+    for a in neighbors:
+        weights = metropolis_weights(a, {b: len(neighbors[b]) for b in neighbors[a]})
+        fused.append(chernoff_fuse([(pmfs[b - 1], w) for b, w in sorted(weights.items())]))
+    before = normalized_geometric_mean(pmfs)
+    assert np.abs(normalized_geometric_mean(np.array(fused)) - before).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

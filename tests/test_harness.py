@@ -169,10 +169,9 @@ def test_trace_writer_matches_whole_array_writer_on_sweeps(tmp_path, carry):
 
 def hand_built_trace(steps, rows, step_count):
     rows = np.array(rows, dtype=float)
-    return RunTrace(seed=0, mode="consensus", carry="occupancy",
-                    change_steps=np.array(steps), change_rows=rows, step_count=step_count,
-                    robot_convergence=(None,) * rows.shape[1], convergence_step=None,
-                    censored=True, encounters=(), snapshots={}, final_pmfs=rows[-1:],
+    return RunTrace(seed=0, change_steps=np.array(steps), change_rows=rows,
+                    step_count=step_count, robot_convergence=(None,) * rows.shape[1],
+                    convergence_step=None, encounters=(), snapshots={}, final_pmfs=rows[-1:],
                     final_masks=np.zeros((rows.shape[1], 1), dtype=bool))
 
 

@@ -1,8 +1,10 @@
+import math
 import typing
 
 import numpy as np
 import pytest
 
+from gridfusion.engine import RunConfig, build_comm_graph
 from gridfusion.errors import CompositeSizeError, ConfigError
 from gridfusion.spatial import (
     CompositeChain,
@@ -134,6 +136,26 @@ def test_grid_rejects_bad_configuration():
         build_grid(8, -1.0)
     with pytest.raises(ConfigError):
         build_grid(8, float("inf"))
+
+
+@pytest.mark.parametrize("side_count, spacing", [
+    (True, 0.7), (2.0, 0.7), (8, True), (8, "0.7"), (8, math.nan), (8, 1e200),
+])
+def test_build_grid_and_run_config_share_one_grid_rule(side_count, spacing):
+    with pytest.raises(ConfigError):
+        build_grid(side_count, spacing)
+    with pytest.raises(ConfigError):
+        RunConfig(side_count=side_count, spacing=spacing, features=()).validate()
+
+
+def test_grid_rule_rejects_a_spacing_whose_squared_diagonal_overflows():
+    with pytest.raises(ConfigError, match="overflows"):
+        RunConfig(spacing=1e200, comm_radius=1e200).validate()
+    # 2 * (7e153)^2 is finite, so this grid is kept and its far corners stay
+    # out of range of each other
+    grid = build_grid(8, 1e153)
+    assert build_comm_graph(np.array([1, 8]), grid, 1e153) == ({}, [])
+    assert build_grid(1, 1e300).node_count == 1
 
 
 def test_transition_corner_row():
