@@ -14,7 +14,6 @@ from . import harness, spatial
 from .engine import CARRY_MODES, MODES, RunConfig
 from .engine import run as run_single
 from .errors import CompositeSizeError, ConfigError, EngineInvariantError
-from .occupancy import FeatureField
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -59,15 +58,6 @@ def _build_config(args, robot_count: int, mode: str) -> tuple:
     return dataclasses.replace(config, **overrides).validate(), batch
 
 
-def _reference_pmf(config: RunConfig) -> np.ndarray:
-    field_ = FeatureField(
-        config.side_count * config.side_count,
-        frozenset(config.resolve_features()),
-        config.level,
-    )
-    return field_.f_ref
-
-
 def _cmd_run(args) -> int:
     config, _ = _build_config(args, args.robots, args.mode)
     traces = [run_single(config)]
@@ -84,7 +74,7 @@ def _cmd_run(args) -> int:
         summary,
         args.out,
         config.side_count,
-        reference_pmf=_reference_pmf(config),
+        reference_pmf=config.feature_field().f_ref,
     )
     trace = traces[0]
     if trace.censored:
@@ -108,7 +98,7 @@ def _cmd_batch(args) -> int:
         config, robot_counts, modes, runs, config.seed, workers
     )
     harness.emit_outputs(traces_by_block, summary, args.out, config.side_count,
-                         reference_pmf=_reference_pmf(config))
+                         reference_pmf=config.feature_field().f_ref)
     for block in summary.blocks:
         mean = block.mean_steps * config.step_seconds
         std = block.std_steps * config.step_seconds

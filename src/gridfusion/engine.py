@@ -40,8 +40,9 @@ DEFAULT_FEATURES = (19, 20, 21, 26, 30, 34, 38, 42, 46, 51, 52, 53)
 
 MONOTONE_SLACK = 1e-12
 
-# World plans every robot's walk this many ticks ahead; a run draws at most
-# PLAN_TICKS - 1 uniforms per robot past its end.
+# World plans every robot's walk in blocks of this many ticks, each planned
+# only when the next tick needs it, so a run draws at most PLAN_TICKS - 1
+# uniforms per robot past its end.
 PLAN_TICKS = 32
 
 
@@ -120,10 +121,8 @@ class RunConfig:
             distance = math.sqrt(max(1.0 - overlap, 0.0))
             lowest = min(lowest, distance)
             if distance > lowest + MONOTONE_SLACK:
-                masks = np.zeros((2, s), dtype=bool)
-                masks[1, [node - 1 for node in features]] = True
-                pmfs = occupancy.pmf_rows(masks, level)
-                if hellinger_batch(pmfs[:1], pmfs[1])[0] < self.epsilon:
+                field_ = self.feature_field()
+                if hellinger_batch(field_.f_nom[None], field_.f_ref)[0] < self.epsilon:
                     return
                 raise ConfigError(
                     f"with {f} features on {s} nodes at level {level} the occupancy carry's "
@@ -160,6 +159,12 @@ class RunConfig:
         if bad:
             raise ConfigError(f"feature nodes {sorted(bad)} outside [1, {node_count}]")
         return nodes
+
+    def feature_field(self) -> occupancy.FeatureField:
+        """The run's ground truth: the feature nodes with their reference and
+        nominal PMFs. The one place a config becomes a FeatureField."""
+        features = frozenset(self.resolve_features())
+        return occupancy.FeatureField(self.side_count * self.side_count, features, self.level)
 
 
 class Encounter(NamedTuple):
@@ -260,10 +265,13 @@ class World:
     nodes.
     """
 
-    def __init__(self, grid, field_, config: RunConfig, positions, masks, streams):
+    def __init__(self, config: RunConfig, positions, masks, streams):
         """positions holds each robot's 1-based start node and masks its (N, S)
-        starting occupancy masks, both in robot-id order; both are copied."""
+        starting occupancy masks, both in robot-id order; both are copied. The
+        grid and the feature field are built from config."""
         count = config.robot_count
+        self.grid = grid = spatial.build_grid(config.side_count, config.spacing)
+        self.field = config.feature_field()
         self.positions = np.array(positions, dtype=np.int64)
         if self.positions.shape != (count,) or len(streams) != count:
             raise ConfigError("positions and streams must match config.robot_count")
@@ -272,25 +280,21 @@ class World:
         self.masks = np.array(masks, dtype=bool)
         if self.masks.shape != (count, grid.node_count):
             raise ConfigError(f"masks must have shape ({count}, {grid.node_count})")
-        self.grid = grid
-        self.field = field_
         self.config = config
         self.transition = spatial.build_transition_matrix(grid)
         self.streams = list(streams)
-        self._off_field = ~field_.mask
+        self._off_field = ~self.field.mask
         if (self.masks & self._off_field).any():
             # sensing marks features only, so only fusion can break this later
             raise ConfigError("robot beliefs must mark feature nodes only")
         self.k = 0
         self.encounters = []
-        self._f_nom = field_.f_nom
-        self._f_ref = field_.f_ref
-        self._carried = self._pmf_rows() if config.carry == "chernoff" else None
-        self.dh = hellinger_batch(self.opinions(), self._f_ref)
+        self._robots = np.arange(count)
+        self._carried = self._pmf_rows(self.masks) if config.carry == "chernoff" else None
+        self.dh = hellinger_batch(self.opinions(), self.field.f_ref)
         self.dh.flags.writeable = False
         self._choices = grid.choices.tolist()
         self._counts = [0, *(grid.degrees + 1).tolist()]
-        self._robots = np.arange(len(self.positions))
         self._plan = np.empty((0, len(self.positions)), dtype=np.int64)
         self._senses = self._meets = []
         self._cursor = 0
@@ -298,28 +302,26 @@ class World:
     @classmethod
     def from_config(cls, config: RunConfig) -> "World":
         config.validate()
-        grid = spatial.build_grid(config.side_count, config.spacing)
-        field_ = occupancy.FeatureField(
-            node_count=grid.node_count,
-            occupied=frozenset(config.resolve_features()),
-            level=config.level,
-        )
-        count = config.robot_count
+        count, node_count = config.robot_count, config.side_count * config.side_count
         placement = mobility.RngStream.from_seed(config.seed, 0)
-        positions = mobility.initialize_robots(count, grid.node_count, placement)
-        masks = np.zeros((count, grid.node_count), dtype=bool)
+        positions = mobility.initialize_robots(count, node_count, placement)
+        masks = np.zeros((count, node_count), dtype=bool)
         streams = [mobility.RngStream.from_seed(config.seed, a) for a in range(1, count + 1)]
-        return cls(grid, field_, config, positions, masks, streams)
+        return cls(config, positions, masks, streams)
 
-    def _pmf_rows(self, masks=None) -> np.ndarray:
-        """Occupancy PMF of each mask row (default: every robot's mask)."""
-        return occupancy.pmf_rows(self.masks if masks is None else masks, self.config.level)
+    def _pmf_rows(self, masks) -> np.ndarray:
+        """Occupancy PMF of each mask row."""
+        return occupancy.pmf_rows(masks, self.config.level)
+
+    def _opinion_rows(self, idx) -> np.ndarray:
+        """Fresh copy of the opinion PMFs (carried, or their masks') of the robots at idx."""
+        if self._carried is not None:
+            return self._carried[idx]
+        return self._pmf_rows(self.masks[idx])
 
     def opinions(self) -> np.ndarray:
         """Current per-robot opinion PMFs, one row per robot."""
-        if self._carried is not None:
-            return self._carried.copy()
-        return self._pmf_rows()
+        return self._opinion_rows(self._robots)
 
     def tick(self) -> np.ndarray:
         """Advance one step and return the per-robot distances to the reference.
@@ -345,27 +347,25 @@ class World:
         did not know at planning time; fusion may teach it the feature
         before it lands, so the event tick checks again.
         """
-        remaining = self.config.max_steps - self.k
-        length = min(PLAN_TICKS, remaining) if remaining > 0 else PLAN_TICKS
         choices, counts = self._choices, self._counts
         walks = []
         for node, stream in zip(self.positions.tolist(), self.streams):
             walks.append([(node := choices[node][int(u * counts[node])])
-                          for u in stream.take(length).tolist()])
+                          for u in stream.take(PLAN_TICKS).tolist()])
         self._plan = np.array(walks, dtype=np.int64).T.copy()
         landing = self._plan - 1
         ticks, robots = np.nonzero(self.field.mask[landing] & ~self.masks[self._robots, landing])
-        self._senses = [[] for _ in range(length)]
+        self._senses = [[] for _ in range(PLAN_TICKS)]
         for t, a, col in zip(ticks.tolist(), robots.tolist(), landing[ticks, robots].tolist()):
             self._senses[t].append((a, col))
         if self.config.mode != "consensus" or len(self.positions) < 2:
-            self._meets = [False] * length
+            self._meets = [False] * PLAN_TICKS
         elif self.config.comm_radius < self.grid.spacing:
             nodes = np.sort(landing, axis=1)
             self._meets = (nodes[:, 1:] == nodes[:, :-1]).any(axis=1).tolist()
         else:
             # a wider radius leaves the in-range test to build_comm_graph
-            self._meets = [True] * length
+            self._meets = [True] * PLAN_TICKS
         self._cursor = 0
 
     def _event_tick(self, step_: int, senses: list, meets: bool) -> None:
@@ -407,8 +407,7 @@ class World:
         if all(state[i].tobytes() == first for i in idx[1:]):
             return []
         masks = self.masks[idx]
-        opinions = self._pmf_rows(masks) if self._carried is None else self._carried[idx]
-        row_of = dict(zip(members, opinions))
+        row_of = dict(zip(members, self._opinion_rows(idx)))
         lists = []
         for a in members:
             weights = fusion.metropolis_weights(
@@ -420,7 +419,7 @@ class World:
         fused_rows = {key: fusion.chernoff_fuse([(row_of[b], w) for b, w in key])
                       for key in set(lists)}
         fused = np.array([fused_rows[key] for key in lists])
-        merged = masks | (fused > self._f_nom)
+        merged = masks | (fused > self.field.f_nom)
         grew = [i for i, g in zip(idx, (merged != masks).any(axis=1)) if g]
         if grew:
             outside = (merged & self._off_field).any(axis=1)
@@ -441,10 +440,8 @@ class World:
         return idx
 
     def _refresh_distances(self, indices: list, step_: int) -> None:
-        if self._carried is not None:
-            new = hellinger_batch(self._carried[indices], self._f_ref)
-        else:
-            new = hellinger_batch(self._pmf_rows(self.masks[indices]), self._f_ref)
+        new = hellinger_batch(self._opinion_rows(indices), self.field.f_ref)
+        if self._carried is None:
             rose = new > self.dh[indices] + MONOTONE_SLACK
             if rose.any():
                 j = int(np.argmax(rose))

@@ -68,11 +68,14 @@ def _is_real(value) -> bool:
 
 
 def check_grid_args(side_count, spacing) -> None:
-    """Raise ConfigError unless side_count is a positive integer, spacing is
+    """Raise ConfigError unless side_count is a positive integer small enough
+    that numpy can size the (S + 1) x 5 int64 choice table, spacing is
     positive and finite, and the squared diagonal 2 * ((side_count - 1) *
     spacing)^2 is finite, so no squared distance on the grid overflows."""
     if not _is_int(side_count) or side_count < 1:
         raise ConfigError(f"side_count must be a positive integer, got {side_count!r}")
+    if 40 * (int(side_count) ** 2 + 1) > np.iinfo(np.intp).max:
+        raise ConfigError(f"side_count {side_count!r} is too large to index a grid")
     if not _is_real(spacing) or not 0 < spacing < np.inf:
         raise ConfigError(f"spacing must be positive and finite, got {spacing!r}")
     span = (int(side_count) - 1) * float(spacing)

@@ -6,6 +6,7 @@ from gridfusion import harness
 from gridfusion.cli import main
 from gridfusion.harness import save_config
 from gridfusion.engine import RunConfig
+from test_output_digest import tree_digest
 
 
 def test_run_command_writes_outputs(tmp_path, capsys):
@@ -149,6 +150,8 @@ def test_huge_comm_radius_runs_without_warnings(tmp_path, capsys, radius):
     (["run", "--features", "circle:4,5,nan"], None),
     (["run", "--step-seconds", "inf"], None),
     (["run", "--spacing", "inf", "--comm-radius", "inf"], None),
+    (["run", "--grid-size", "1" + "0" * 400], None),
+    (["run", "--grid-size", "1" + "0" * 30, "--spacing", "1e-40"], None),
     (["run"], "run: {spacing: .inf}"),
     (["run"], "run: {features: [a]}"),
     (["run"], "run: {spacing: abc}"),
@@ -188,3 +191,23 @@ def test_out_of_memory_exits_1_without_traceback(tmp_path, capsys, monkeypatch, 
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "32.0 GiB" in err and "Traceback" not in err
+
+
+# sha256 of each command's whole output tree (tree_digest), recorded before
+# the CLI took its reference PMF from RunConfig.feature_field(); covers
+# snapshots/reference.csv and the circle-spec path. Update only together with
+# a file-format tag bump.
+CLI_DIGESTS = {
+    "run": "0588e91d283d0921b811067768229d2864d2c360cb6b413ce84001f17f48b1b2",
+    "batch": "b753be20f11a3d80a7ffc78d569743023141350967eefc1ef16c4a69a809783e",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--robots", "4", "--seed", "7", "--snapshot-steps", "0,10"],
+    ["batch", "--robots", "2,4", "--mode", "both", "--runs", "2", "--seed", "3",
+     "--snapshot-steps", "0,10", "--features", "circle:4,5,2"],
+], ids=["run", "batch"])
+def test_cli_output_tree_digest_is_pinned(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert tree_digest(tmp_path / "o") == CLI_DIGESTS[argv[0]]

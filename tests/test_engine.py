@@ -226,13 +226,11 @@ def test_fusion_unions_occupied_sets_through_a_tick():
     # frozen seed: both robots step from node 36 onto the same feature-free
     # node, so the only belief change in the tick is the fusion itself
     seed = 2
-    grid = build_grid(8, 0.7)
-    field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
     masks = np.zeros((2, 64), dtype=bool)
     masks[0, 19 - 1] = True
     masks[1, 20 - 1] = True
     streams = [RngStream.from_seed(seed, a) for a in (1, 2)]
-    world = World(grid, field, RunConfig(robot_count=2, seed=seed), [36, 36], masks, streams)
+    world = World(RunConfig(robot_count=2, seed=seed), [36, 36], masks, streams)
     world.tick()
     assert len(world.encounters) == 1
     assert world.encounters[0].node not in DEFAULT_FEATURES
@@ -244,13 +242,11 @@ def chernoff_fuse_calls(monkeypatch, positions, comm_radius):
     """chernoff_fuse calls made by one World._fuse_group on robots at the
     given nodes (one encounter group), robot a knowing only feature a."""
     n = len(positions)
-    grid = build_grid(8, 0.7)
-    field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
     masks = np.zeros((n, 64), dtype=bool)
     masks[np.arange(n), np.array(DEFAULT_FEATURES[:n]) - 1] = True
-    world = World(grid, field, RunConfig(robot_count=n, comm_radius=comm_radius), positions,
+    world = World(RunConfig(robot_count=n, comm_radius=comm_radius), positions,
                   masks, [RngStream.from_seed(0, a) for a in range(1, n + 1)])
-    neighbor_sets, [(_, members)] = build_comm_graph(world.positions, grid, comm_radius)
+    neighbor_sets, [(_, members)] = build_comm_graph(world.positions, world.grid, comm_radius)
     calls = []
     real = fusion.chernoff_fuse
     monkeypatch.setattr(fusion, "chernoff_fuse", lambda pairs: calls.append(1) or real(pairs))
@@ -277,14 +273,12 @@ def test_fuse_group_fuses_each_distinct_weight_list_once(monkeypatch, positions,
 
 
 def test_world_senses_exactly_the_features_it_lands_on():
-    grid = build_grid(8, 0.7)
     field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
     positions = np.array([36, 19, 1])
     masks = np.zeros((3, 64), dtype=bool)
     masks[1, 19 - 1] = True
     cfg = RunConfig(robot_count=3, mode="no-consensus", seed=9)
-    world = World(grid, field, cfg, positions, masks,
-                  [RngStream.from_seed(9, a) for a in (1, 2, 3)])
+    world = World(cfg, positions, masks, [RngStream.from_seed(9, a) for a in (1, 2, 3)])
     landed = np.zeros((3, 64), dtype=bool)
     for _ in range(300):
         before = world.masks.copy()
@@ -297,12 +291,9 @@ def test_world_senses_exactly_the_features_it_lands_on():
 
 
 def test_world_copies_its_input_arrays():
-    grid = build_grid(8, 0.7)
-    field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
     positions = np.array([19, 19])
     masks = np.zeros((2, 64), dtype=bool)
-    world = World(grid, field, small_config(), positions, masks,
-                  [RngStream.from_seed(0, a) for a in (1, 2)])
+    world = World(small_config(), positions, masks, [RngStream.from_seed(0, a) for a in (1, 2)])
     for _ in range(100):
         world.tick()
     assert world.masks[:, 19 - 1].all()
@@ -357,8 +348,7 @@ def test_permuting_robot_ids_permutes_the_trace():
     perm = [2, 0, 1]  # new index -> original robot index
     streams = [RngStream.from_seed(cfg.seed, a) for a in (1, 2, 3)]
     permuted = World(
-        reference.grid, reference.field, cfg, reference.positions[perm],
-        reference.masks[perm], [streams[i] for i in perm],
+        cfg, reference.positions[perm], reference.masks[perm], [streams[i] for i in perm],
     )
     rows_ref, rows_perm = [], []
     for _ in range(40):
@@ -449,15 +439,22 @@ def test_encounters_are_ordered_and_well_formed():
 
 def test_world_rejects_mismatched_robots():
     cfg = small_config()
-    grid = build_grid(8, 0.7)
-    field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
     streams = [RngStream.from_seed(0, a) for a in (1, 2)]
     with pytest.raises(ConfigError):
-        World(grid, field, cfg, [1], np.zeros((1, 64), bool), streams[:1])
+        World(cfg, [1], np.zeros((1, 64), bool), streams[:1])
     for shape in ((2, 63), (1, 64), (2, 64, 1)):
         with pytest.raises(ConfigError):
-            World(grid, field, cfg, [1, 1], np.zeros(shape, bool), streams)
+            World(cfg, [1, 1], np.zeros(shape, bool), streams)
     false_positive = np.zeros((2, 64), dtype=bool)
     false_positive[0, 0] = True  # node 1 carries no feature
     with pytest.raises(ConfigError):
-        World(grid, field, cfg, [1, 1], false_positive, streams)
+        World(cfg, [1, 1], false_positive, streams)
+
+
+def test_world_builds_its_grid_and_field_from_the_config():
+    cfg = RunConfig(side_count=6, spacing=0.5, level=0.9, features="circle:3,3,1")
+    world = World.from_config(cfg)
+    assert (world.grid.side_count, world.grid.spacing) == (6, 0.5)
+    assert world.field.occupied == frozenset(cfg.resolve_features())
+    assert world.field.level == 0.9 and world.field.node_count == 36
+    assert np.array_equal(world.field.f_ref, cfg.feature_field().f_ref)

@@ -12,6 +12,7 @@ from gridfusion.spatial import (
     build_composite_chain,
     build_grid,
     build_transition_matrix,
+    check_grid_args,
     check_irreducible,
     stationary_distribution,
     stationary_from_degrees,
@@ -140,6 +141,8 @@ def test_grid_rejects_bad_configuration():
 
 @pytest.mark.parametrize("side_count, spacing", [
     (True, 0.7), (2.0, 0.7), (8, True), (8, "0.7"), (8, math.nan), (8, 1e200),
+    # side counts whose choice table numpy cannot size; rejected before any allocation
+    (10**30, 1e-40), (10**400, 0.7), (np.int64(2**62), 1e-30),
 ])
 def test_build_grid_and_run_config_share_one_grid_rule(side_count, spacing):
     with pytest.raises(ConfigError):
@@ -156,6 +159,14 @@ def test_grid_rule_rejects_a_spacing_whose_squared_diagonal_overflows():
     grid = build_grid(8, 1e153)
     assert build_comm_graph(np.array([1, 8]), grid, 1e153) == ({}, [])
     assert build_grid(1, 1e300).node_count == 1
+
+
+def test_grid_rule_bounds_the_side_count_by_the_choice_table_size():
+    # the (c^2 + 1) x 5 int64 table takes 40 * (c^2 + 1) bytes, which must fit
+    # in np.intp; check_grid_args only checks, so neither call allocates
+    check_grid_args(480_191_941, 1e-12)
+    with pytest.raises(ConfigError, match="too large"):
+        check_grid_args(480_191_942, 1e-12)
 
 
 def test_transition_corner_row():
