@@ -7,14 +7,15 @@ the thresholded result into its occupancy vector. All fusion updates within a
 tick read pre-fusion beliefs and are applied simultaneously, so robot
 numbering cannot change the outcome.
 
-Two opinion-carry modes exist. In the canonical "occupancy" mode a robot's
-opinion is always the PMF of its current occupancy vector, so its Hellinger
-distance to the reference depends only on how many features it knows;
-RunConfig.validate rejects the dense maps on which that distance can rise,
-so it never rises in a run. The "chernoff" mode carries the raw fused PMF
-forward instead (refreshing it from the occupancy vector whenever sensing
-changes that vector); it reproduces the small distance bumps that raw fusion
-arithmetic causes and is kept for comparison.
+Every robot's opinion PMF is one row of an (N, S) array, refreshed from its
+occupancy vector whenever sensing or a merge changes that vector. The two
+carry modes differ in one rule. In the canonical "occupancy" mode an
+uninformative fusion leaves the row alone, so every row stays its mask's PMF
+and a robot's Hellinger distance to the reference depends only on how many
+features it knows; RunConfig.validate rejects the dense maps on which that
+distance can rise, so it never rises in a run. The "chernoff" mode keeps the
+raw fused row after an uninformative fusion; it reproduces the small
+distance bumps that raw fusion arithmetic causes and is kept for comparison.
 """
 
 from __future__ import annotations
@@ -290,8 +291,8 @@ class World:
         self.k = 0
         self.encounters = []
         self._robots = np.arange(count)
-        self._carried = self._pmf_rows(self.masks) if config.carry == "chernoff" else None
-        self.dh = hellinger_batch(self.opinions(), self.field.f_ref)
+        self._opinions = occupancy.pmf_rows(self.masks, config.level)
+        self.dh = hellinger_batch(self._opinions, self.field.f_ref)
         self.dh.flags.writeable = False
         self._choices = grid.choices.tolist()
         self._counts = [0, *(grid.degrees + 1).tolist()]
@@ -309,19 +310,9 @@ class World:
         streams = [mobility.RngStream.from_seed(config.seed, a) for a in range(1, count + 1)]
         return cls(config, positions, masks, streams)
 
-    def _pmf_rows(self, masks) -> np.ndarray:
-        """Occupancy PMF of each mask row."""
-        return occupancy.pmf_rows(masks, self.config.level)
-
-    def _opinion_rows(self, idx) -> np.ndarray:
-        """Fresh copy of the opinion PMFs (carried, or their masks') of the robots at idx."""
-        if self._carried is not None:
-            return self._carried[idx]
-        return self._pmf_rows(self.masks[idx])
-
     def opinions(self) -> np.ndarray:
-        """Current per-robot opinion PMFs, one row per robot."""
-        return self._opinion_rows(self._robots)
+        """Fresh copy of the per-robot opinion PMFs, one row per robot."""
+        return self._opinions.copy()
 
     def tick(self) -> np.ndarray:
         """Advance one step and return the per-robot distances to the reference.
@@ -376,8 +367,8 @@ class World:
             if not masks[a, col]:
                 masks[a, col] = True
                 changed.append(a)
-        if self._carried is not None and changed:
-            self._carried[changed] = self._pmf_rows(masks[changed])
+        if changed:
+            self._opinions[changed] = occupancy.pmf_rows(masks[changed], self.config.level)
         if meets:
             neighbor_sets, groups = build_comm_graph(
                 self.positions, self.grid, self.config.comm_radius
@@ -400,14 +391,12 @@ class World:
         """
         idx = [b - 1 for b in members]
         # Identical inputs are skipped: chernoff_fuse returns each one
-        # unchanged, thresholding an occupancy PMF returns its own mask, and
-        # a carried opinion never exceeds nominal off its mask.
-        state = self.masks if self._carried is None else self._carried
-        first = state[idx[0]].tobytes()
-        if all(state[i].tobytes() == first for i in idx[1:]):
+        # unchanged, and thresholding it returns a mask its own mask covers.
+        first = self._opinions[idx[0]].tobytes()
+        if all(self._opinions[i].tobytes() == first for i in idx[1:]):
             return []
         masks = self.masks[idx]
-        row_of = dict(zip(members, self._opinion_rows(idx)))
+        row_of = dict(zip(members, self._opinions[idx]))
         lists = []
         for a in members:
             weights = fusion.metropolis_weights(
@@ -429,19 +418,16 @@ class World:
                     f"feature set (seed={self.config.seed}, step={step_})"
                 )
             self.masks[idx] = merged
-        if self._carried is None:
-            return grew
-        # a merge that changed the occupancy vector refreshes the carried
-        # opinion from it; only an uninformative fusion carries the raw
-        # fused PMF forward
-        self._carried[idx] = fused
-        if grew:
-            self._carried[grew] = self._pmf_rows(self.masks[grew])
-        return idx
+        keep_fused = self.config.carry == "chernoff"
+        if keep_fused:  # only an uninformative fusion keeps its raw fused PMF
+            self._opinions[idx] = fused
+        if grew:  # a merge that grew the occupancy vector refreshes the opinion from it
+            self._opinions[grew] = occupancy.pmf_rows(self.masks[grew], self.config.level)
+        return idx if keep_fused else grew
 
     def _refresh_distances(self, indices: list, step_: int) -> None:
-        new = hellinger_batch(self._opinion_rows(indices), self.field.f_ref)
-        if self._carried is None:
+        new = hellinger_batch(self._opinions[indices], self.field.f_ref)
+        if self.config.carry == "occupancy":
             rose = new > self.dh[indices] + MONOTONE_SLACK
             if rose.any():
                 j = int(np.argmax(rose))
@@ -469,8 +455,7 @@ def run(config: RunConfig) -> RunTrace:
     snapshot_at = set(int(k) for k in cfg.snapshot_steps)
 
     steps, rows = [0], [world.dh]
-    robot_first = [0 if d < eps else None for d in world.dh]
-    convergence_step = 0 if all(f == 0 for f in robot_first) else None
+    convergence_step = 0 if bool(np.all(world.dh < eps)) else None
     snapshots = {}
     if 0 in snapshot_at:
         snapshots[0] = world.opinions()
@@ -481,20 +466,23 @@ def run(config: RunConfig) -> RunTrace:
             # a shared row means no distance changed, so nothing new converged
             steps.append(world.k)
             rows.append(row)
-            for idx, dist in enumerate(row):
-                if robot_first[idx] is None and dist < eps:
-                    robot_first[idx] = world.k
             if bool(np.all(row < eps)):
                 convergence_step = world.k
         if world.k in snapshot_at:
             snapshots[world.k] = world.opinions()
 
+    change_steps, change_rows = np.array(steps), np.array(rows)
+    # distances hold between change points, so a robot's first change point
+    # below epsilon is its first step below it
+    below = change_rows < eps
+    robot_convergence = tuple(step if hit else None for step, hit in
+                              zip(change_steps[below.argmax(axis=0)].tolist(), below.any(axis=0)))
     return RunTrace(
         seed=cfg.seed,
-        change_steps=np.array(steps),
-        change_rows=np.array(rows),
+        change_steps=change_steps,
+        change_rows=change_rows,
         step_count=world.k,
-        robot_convergence=tuple(robot_first),
+        robot_convergence=robot_convergence,
         convergence_step=convergence_step,
         encounters=tuple(world.encounters),
         snapshots=snapshots,

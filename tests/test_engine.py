@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfusion import fusion
+from gridfusion import fusion, occupancy
 from gridfusion.engine import (
     DEFAULT_FEATURES,
     RunConfig,
@@ -369,14 +369,22 @@ def test_canonical_run_is_monotone_and_complete():
     assert np.array_equal(trace.final_masks, np.tile(field.mask, (4, 1)))
 
 
-def test_robot_convergence_steps_match_distance_rows():
-    trace = run(RunConfig(seed=13))
-    eps = 0.01
+@pytest.mark.parametrize("config, convergence", [
+    (RunConfig(seed=13), (75, 141, 121, 63)),
+    # censored; robot 1 first drops below epsilon at step 470, then rises above it again
+    (RunConfig(seed=0, carry="chernoff", max_steps=1500), (470, 268, 137, 268)),
+])
+def test_robot_convergence_steps_match_distance_rows(config, convergence):
+    trace = run(config)
+    assert trace.robot_convergence == convergence
+    below = trace.distances < config.epsilon
     for idx, first in enumerate(trace.robot_convergence):
-        col = trace.distances[:, idx]
-        expected = int(np.flatnonzero(col < eps)[0])
-        assert first == expected
-    assert trace.convergence_step == trace.distances.shape[0] - 1
+        hits = np.flatnonzero(below[:, idx])
+        assert first == (int(hits[0]) if hits.size else None)
+    if below[-1].all():
+        assert trace.convergence_step == trace.distances.shape[0] - 1
+    else:
+        assert trace.convergence_step is None and trace.step_count == config.max_steps
 
 
 @pytest.mark.parametrize("config", [
@@ -406,6 +414,43 @@ def test_chernoff_carry_runs_deterministically():
     # occupancy vectors stay inside the feature set even with raw carry
     field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
     assert not np.any(a.final_masks & ~field.mask)
+
+
+def geometric_mean(rows):
+    """Normalized geometric mean of the PMF rows."""
+    log_g = np.log(rows).mean(axis=0)
+    g = np.exp(log_g - log_g.max())
+    return g / g.sum()
+
+
+@pytest.mark.parametrize("comm_radius", [0.0, 0.7])
+@pytest.mark.parametrize("robot_count", [2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chernoff_carry_settles_on_the_geometric_mean_at_completion(comm_radius, robot_count,
+                                                                     seed):
+    # Symmetric weights keep G fixed through every fusion, and once every
+    # mask is complete nothing refreshes an opinion from its mask, so the
+    # carried opinions converge to the G they hold at that step.
+    world = World.from_config(RunConfig(robot_count=robot_count, seed=seed, carry="chernoff",
+                                        comm_radius=comm_radius))
+    limit = None
+    for _ in range(3000):
+        world.tick()
+        if limit is None and (world.masks == world.field.mask).all():
+            limit = geometric_mean(world.opinions())
+    assert limit is not None
+    assert np.abs(world.opinions() - limit).max() <= 1e-12
+
+
+@pytest.mark.parametrize("comm_radius", [0.0, 0.7])
+@pytest.mark.parametrize("robot_count", range(1, 9))
+def test_occupancy_carry_opinions_are_their_masks_pmfs(comm_radius, robot_count):
+    cfg = RunConfig(robot_count=robot_count, seed=robot_count, comm_radius=comm_radius)
+    world = World.from_config(cfg)
+    for _ in range(400):
+        world.tick()
+        expected = occupancy.pmf_rows(world.masks, cfg.level)
+        assert world.opinions().tobytes() == expected.tobytes()
 
 
 def test_chernoff_carry_can_raise_distances():
