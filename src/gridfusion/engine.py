@@ -184,15 +184,15 @@ def build_comm_graph(positions, grid: spatial.SpatialGrid, comm_radius: float):
 
     Returns (neighbor_sets, groups): neighbor_sets maps every robot id with a
     neighbor to the frozenset of its neighbors' ids (symmetric, irreflexive),
-    and groups lists (node, robot_ids) for every connected set of two or more
+    and groups lists (node, member ids) for every connected set of two or more
     robots, ordered by lowest robot id.
     """
     neighbor_sets = {}
     groups = []
     if comm_radius < grid.spacing:
         by_node = {}
-        for robot_id, node in enumerate(np.asarray(positions).tolist(), start=1):
-            by_node.setdefault(node, []).append(robot_id)
+        for robot, node in enumerate(np.asarray(positions).tolist(), start=1):
+            by_node.setdefault(node, []).append(robot)
         for node, members in by_node.items():
             if len(members) < 2:
                 continue

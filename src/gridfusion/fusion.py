@@ -22,14 +22,13 @@ WEIGHT_SUM_TOL = 1e-9
 class FusionWeights:
     """Weights a robot assigns to itself and each neighbor; they sum to 1."""
 
-    robot_id: int
     weights: dict
 
     def items(self):
         return self.weights.items()
 
 
-def metropolis_weights(robot_id: int, neighbor_degrees) -> FusionWeights:
+def metropolis_weights(robot: int, neighbor_degrees) -> FusionWeights:
     """Max-degree Metropolis-Hastings weights for one fusion step.
 
     neighbor_degrees maps each current neighbor b to its own neighbor count
@@ -43,13 +42,13 @@ def metropolis_weights(robot_id: int, neighbor_degrees) -> FusionWeights:
     own_count = len(neighbor_degrees)
     weights = {}
     for b, count in neighbor_degrees.items():
-        if b == robot_id:
+        if b == robot:
             raise ValueError("neighbor_degrees must not include the robot itself")
         if count < 1:
             raise ValueError(f"neighbor {b} has neighbor count {count}, expected >= 1")
         weights[b] = 1.0 / (1 + max(own_count, count))
-    weights[robot_id] = 1.0 - sum(weights.values())
-    return FusionWeights(robot_id=robot_id, weights=weights)
+    weights[robot] = 1.0 - sum(weights.values())
+    return FusionWeights(weights)
 
 
 def chernoff_fuse(opinions) -> np.ndarray:

@@ -113,12 +113,6 @@ class McSummary:
     config_echo: dict
     blocks: tuple
 
-    def block(self, mode: str, robot_count: int) -> McBlock:
-        for b in self.blocks:
-            if b.mode == mode and b.robot_count == robot_count:
-                return b
-        raise KeyError(f"no block for mode={mode!r}, robot_count={robot_count}")
-
     def as_dict(self) -> dict:
         return {
             "format": SUMMARY_FORMAT,
@@ -207,23 +201,10 @@ def write_pmf_csv(pmf: np.ndarray, side_count: int, path: Path, step, robot) -> 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_trace_csv(path: Path):
-    """Parse a trace CSV back into (steps array, distances matrix)."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or not lines[0].startswith(TRACE_TAG):
-        raise ValueError(f"{path} is not a gridfusion trace file")
-    body = lines[2:]
-    if not body:
-        return np.zeros(0, dtype=int), np.zeros((0, 0))
-    rows = [line.split(",") for line in body]
-    steps = np.array([int(r[0]) for r in rows])
-    dists = np.array([[float(v) for v in r[1:]] for r in rows])
-    return steps, dists
-
-
 def emit_outputs(traces_by_block, summary: McSummary, out_dir, side_count: int,
-                 reference_pmf=None) -> list:
-    """Write per-run traces, requested PMF snapshots, and the summary JSON.
+                 reference_pmf) -> list:
+    """Write per-run traces, requested PMF snapshots, the reference PMF and
+    the summary JSON.
 
     Returns the list of written paths. File naming is by block and run index,
     so identical inputs produce byte-identical directory contents.
@@ -248,10 +229,9 @@ def emit_outputs(traces_by_block, summary: McSummary, out_dir, side_count: int,
                         )
                         write_pmf_csv(trace.snapshots[k][a - 1], side_count, spath, k, a)
                         written.append(spath)
-        if reference_pmf is not None:
-            rpath = snap_dir / "reference.csv"
-            write_pmf_csv(reference_pmf, side_count, rpath, "ref", "ref")
-            written.append(rpath)
+        rpath = snap_dir / "reference.csv"
+        write_pmf_csv(reference_pmf, side_count, rpath, "ref", "ref")
+        written.append(rpath)
         spath = out / "summary.json"
         spath.write_text(json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n")
         written.append(spath)
@@ -289,28 +269,23 @@ def config_to_dict(config: RunConfig) -> dict:
     return d
 
 
-def config_from_dict(d: dict) -> RunConfig:
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(d) - known
+def _check_keys(section: dict, known, where: str) -> None:
+    """Raise ConfigError naming every key of ``section`` not in ``known``."""
+    unknown = set(section) - set(known)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown, key=str)}")
+
+
+def config_from_dict(d: dict) -> RunConfig:
+    _check_keys(d, {f.name for f in dataclasses.fields(RunConfig)}, "config")
     # YAML lists become tuples; validate rejects every entry that is not an id
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
     return RunConfig(**kwargs).validate()
 
 
-def save_config(config: RunConfig, path, batch: dict | None = None) -> None:
-    import yaml  # only config files read or write YAML
-
-    doc = {"format": CONFIG_FORMAT, "run": config_to_dict(config)}
-    if batch:
-        doc["batch"] = dict(batch)
-    Path(path).write_text(yaml.safe_dump(doc, sort_keys=True))
-
-
 def load_config(path):
     """Load a config file; returns (RunConfig, batch dict or {})."""
-    import yaml  # only config files read or write YAML
+    import yaml  # only config files read YAML
 
     try:
         doc = yaml.safe_load(Path(path).read_text())
@@ -320,10 +295,12 @@ def load_config(path):
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CONFIG_FORMAT:
         raise ConfigError(f"{path} is not a {CONFIG_FORMAT} file")
+    _check_keys(doc, ("format", "run", "batch"), "top-level config")
     run_section = doc.get("run", {})
     if not isinstance(run_section, dict):
         raise ConfigError("config 'run' section must be a mapping")
     batch = doc.get("batch", {}) or {}
     if not isinstance(batch, dict):
         raise ConfigError("config 'batch' section must be a mapping")
+    _check_keys(batch, ("runs", "workers"), "config 'batch'")
     return config_from_dict(run_section), batch

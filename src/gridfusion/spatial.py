@@ -70,8 +70,9 @@ def _is_real(value) -> bool:
 def check_grid_args(side_count, spacing) -> None:
     """Raise ConfigError unless side_count is a positive integer small enough
     that numpy can size the (S + 1) x 5 int64 choice table, spacing is
-    positive and finite, and the squared diagonal 2 * ((side_count - 1) *
-    spacing)^2 is finite, so no squared distance on the grid overflows."""
+    positive and finite, the squared diagonal 2 * ((side_count - 1) *
+    spacing)^2 is finite, so no squared distance on the grid overflows, and
+    spacing^2 is at least the smallest normal float, so none underflows."""
     if not _is_int(side_count) or side_count < 1:
         raise ConfigError(f"side_count must be a positive integer, got {side_count!r}")
     if 40 * (int(side_count) ** 2 + 1) > np.iinfo(np.intp).max:
@@ -82,6 +83,8 @@ def check_grid_args(side_count, spacing) -> None:
     if not np.isfinite(2 * span * span):
         raise ConfigError(f"spacing {spacing!r} on {side_count} nodes per side overflows "
                           f"the squared diagonal")
+    if float(spacing) * float(spacing) < np.finfo(float).tiny:
+        raise ConfigError(f"spacing {spacing!r} underflows its square")
 
 
 def build_grid(side_count: int, spacing: float) -> SpatialGrid:
@@ -184,25 +187,6 @@ class CompositeChain:
     node_count: int
     state_count: int
     transition: object  # scipy.sparse.csr_array; scipy is imported on first use
-
-    def state_index(self, state: tuple) -> int:
-        if len(state) != self.robot_count:
-            raise ValueError(f"state must have {self.robot_count} entries")
-        idx = 0
-        for node in state:
-            if not 1 <= node <= self.node_count:
-                raise IndexError(f"node {node} outside [1, {self.node_count}]")
-            idx = idx * self.node_count + (node - 1)
-        return idx
-
-    def state_tuple(self, index: int) -> tuple:
-        if not 0 <= index < self.state_count:
-            raise IndexError(f"state index {index} outside [0, {self.state_count})")
-        out = []
-        for _ in range(self.robot_count):
-            index, rem = divmod(index, self.node_count)
-            out.append(rem + 1)
-        return tuple(reversed(out))
 
 
 def build_composite_chain(

@@ -4,8 +4,6 @@ import pytest
 
 from gridfusion import harness
 from gridfusion.cli import main
-from gridfusion.harness import save_config
-from gridfusion.engine import RunConfig
 from test_output_digest import tree_digest
 
 
@@ -61,7 +59,7 @@ def test_cli_features_flag_circle(tmp_path):
 
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg_path = tmp_path / "config.yaml"
-    save_config(RunConfig(robot_count=2, max_steps=300), cfg_path)
+    cfg_path.write_text("format: gridfusion-config/1\nrun: {robot_count: 2, max_steps: 300}\n")
     out = tmp_path / "o"
     code = main([
         "run", "--config", str(cfg_path), "--seed", "5", "--robots", "3",
@@ -74,7 +72,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
 
 def test_batch_reads_its_config_file_once(tmp_path, monkeypatch):
     cfg_path = tmp_path / "config.yaml"
-    save_config(RunConfig(max_steps=50), cfg_path, batch={"runs": 2})
+    cfg_path.write_text("format: gridfusion-config/1\nrun: {max_steps: 50}\nbatch: {runs: 2}\n")
     calls = []
     real = harness.load_config
     monkeypatch.setattr(harness, "load_config", lambda path: calls.append(path) or real(path))
@@ -152,12 +150,16 @@ def test_huge_comm_radius_runs_without_warnings(tmp_path, capsys, radius):
     (["run", "--spacing", "inf", "--comm-radius", "inf"], None),
     (["run", "--grid-size", "1" + "0" * 400], None),
     (["run", "--grid-size", "1" + "0" * 30, "--spacing", "1e-40"], None),
+    (["run", "--spacing", "1e-200", "--comm-radius", "1e-200"], None),
     (["run"], "run: {spacing: .inf}"),
     (["run"], "run: {features: [a]}"),
     (["run"], "run: {spacing: abc}"),
     (["run"], "run: {features: [19.5, 20]}"),
     (["run"], "run: {snapshot_steps: [2.7]}"),
+    (["run"], "run: {1: 2, a: 3}"),
     (["batch"], "run: {}\nbatch: {runs: x}"),
+    (["batch", "--robots", "2"], "bacth: {runs: 2}"),
+    (["batch", "--robots", "2"], "batch: {run: 2}"),
 ])
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, yaml_text):
     argv = [*argv, "--out", str(tmp_path / "o")]

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +17,8 @@ from gridfusion.harness import (
     emit_outputs,
     load_config,
     parse_features,
-    read_trace_csv,
     run_batch,
     run_sweep,
-    save_config,
     summarize_block,
     write_pmf_csv,
     write_trace_csv,
@@ -117,10 +116,9 @@ def test_sweep_produces_blocks_per_mode_and_count():
     assert len(summary.blocks) == 4
     assert set(traces) == {("consensus", 2), ("consensus", 3),
                            ("no-consensus", 2), ("no-consensus", 3)}
-    block = summary.block("no-consensus", 3)
-    assert block.runs == 2
-    with pytest.raises(KeyError):
-        summary.block("consensus", 99)
+    assert [(b.mode, b.robot_count) for b in summary.blocks] == [
+        ("consensus", 2), ("consensus", 3), ("no-consensus", 2), ("no-consensus", 3)]
+    assert all(b.runs == 2 for b in summary.blocks)
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -130,7 +128,8 @@ def test_trace_csv_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# gridfusion-trace v1"
     assert lines[1] == "k,dh_1,dh_2,dh_3,dh_4"
-    steps, dists = read_trace_csv(path)
+    table = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+    steps, dists = table[:, 0], table[:, 1:]
     assert steps.tolist() == list(range(trace.distances.shape[0]))
     assert np.array_equal(dists, trace.distances)  # repr round-trips exactly
 
@@ -232,27 +231,28 @@ def test_summary_statistics_match_emitted_traces(tmp_path):
     """Aggregation oracle: recompute mean/std from the trace files."""
     config = tiny_config()
     summary, traces = run_sweep(config, [2], ["consensus"], runs=5, master_seed=2)
-    emit_outputs(traces, summary, tmp_path, 8)
+    emit_outputs(traces, summary, tmp_path, 8, reference_pmf=config.feature_field().f_ref)
     steps = []
     for i in range(5):
-        ks, dists = read_trace_csv(tmp_path / "traces" / f"consensus_N02_run{i:04d}.csv")
+        path = tmp_path / "traces" / f"consensus_N02_run{i:04d}.csv"
+        table = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        ks, dists = table[:, 0], table[:, 1:]
         below = np.all(dists < config.epsilon, axis=1)
         assert below[-1]  # every run here converges, at its final recorded row
         steps.append(int(ks[np.flatnonzero(below)[0]]))
-    block = summary.block("consensus", 2)
+    (block,) = summary.blocks
     assert block.mean_steps == pytest.approx(np.mean(steps), abs=1e-12)
     assert block.std_steps == pytest.approx(np.std(steps), abs=1e-12)
 
 
-def test_config_round_trip_reproduces_runs(tmp_path):
-    config = tiny_config(features="circle:4,5,2", snapshot_steps=(3,), epsilon=0.02)
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "config.yaml"
-    save_config(config, path, batch={"runs": 7, "workers": 2})
-    loaded, batch = load_config(path)
-    assert loaded == config
-    assert batch == {"runs": 7, "workers": 2}
-    a, b = run(config), run(loaded)
-    assert np.array_equal(a.distances, b.distances)
+    path.write_text(example)
+    config, batch = load_config(path)
+    assert config == RunConfig(features="circle:4,5,2")
+    assert batch == {"runs": 100, "workers": 4}
 
 
 def test_config_dict_round_trip():

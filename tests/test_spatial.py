@@ -141,6 +141,8 @@ def test_grid_rejects_bad_configuration():
 
 @pytest.mark.parametrize("side_count, spacing", [
     (True, 0.7), (2.0, 0.7), (8, True), (8, "0.7"), (8, math.nan), (8, 1e200),
+    # spacings whose square underflows: zero at 1e-200, subnormal at 1e-160
+    (8, 1e-200), (8, 1e-160),
     # side counts whose choice table numpy cannot size; rejected before any allocation
     (10**30, 1e-40), (10**400, 0.7), (np.int64(2**62), 1e-30),
 ])
@@ -159,6 +161,15 @@ def test_grid_rule_rejects_a_spacing_whose_squared_diagonal_overflows():
     grid = build_grid(8, 1e153)
     assert build_comm_graph(np.array([1, 8]), grid, 1e153) == ({}, [])
     assert build_grid(1, 1e300).node_count == 1
+
+
+def test_grid_rule_rejects_a_spacing_whose_square_underflows():
+    with pytest.raises(ConfigError, match="underflows"):
+        RunConfig(spacing=1e-200, comm_radius=1e-200).validate()
+    # (1.5e-154)^2 is a normal float, so this grid is kept and its far corners
+    # stay out of range of each other
+    grid = build_grid(8, 1.5e-154)
+    assert build_comm_graph(np.array([1, 64]), grid, 1.5e-154) == ({}, [])
 
 
 def test_grid_rule_bounds_the_side_count_by_the_choice_table_size():
@@ -289,7 +300,8 @@ def test_composite_entry_by_hand():
     # both robots start at node 1; robot 1 hops to 2, robot 2 hops to 3
     p = build_transition_matrix(build_grid(2, 1.0))
     chain = build_composite_chain(p, 2)
-    q = chain.transition[chain.state_index((1, 1)), chain.state_index((2, 3))]
+    # flat index of (i_1, i_2) is (i_1 - 1) * 4 + (i_2 - 1), robot 1 most significant
+    q = chain.transition[0, 1 * 4 + 2]
     assert q == pytest.approx(p[0, 1] * p[0, 2], abs=0)
     assert q == pytest.approx(1 / 9, abs=1e-15)
 
@@ -322,14 +334,3 @@ def test_composite_cap_raises():
         build_composite_chain(p, 8)  # 9^8 states blows the default cap
     with pytest.raises(CompositeSizeError):
         build_composite_chain(p, 2, max_states=80)
-
-
-def test_state_index_round_trip():
-    p = build_transition_matrix(build_grid(2, 1.0))
-    chain = build_composite_chain(p, 3)
-    for idx in range(chain.state_count):
-        assert chain.state_index(chain.state_tuple(idx)) == idx
-    with pytest.raises(IndexError):
-        chain.state_tuple(chain.state_count)
-    with pytest.raises(IndexError):
-        chain.state_index((1, 1, 5))
