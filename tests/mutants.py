@@ -1,0 +1,153 @@
+"""Committed mutants: each is a small fault that some test must catch.
+
+Run from the repository root:
+
+    python tests/mutants.py
+
+Every record names a file, an exact text to replace (found exactly once),
+the faulty text that replaces it, and the pytest selection that must fail
+under the fault. The script copies ``src``, ``tests`` and ``pyproject.toml``
+into a temporary directory, runs every selection once on the unmutated copy
+(which must pass), then applies each mutant alone and runs its selection.
+Hypothesis runs with a fixed seed, so a result does not vary between calls.
+The script exits 1 if any mutant survives, if a record no longer applies, or
+if a selection fails on the unmutated code. pytest does not collect this file.
+
+A change that reports a new mutation check adds it here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+          "--hypothesis-seed=0"]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    selection: tuple
+
+
+MUTANTS = (
+    Mutant(
+        "skip a group when its first two members agree",
+        "src/gridfusion/engine.py",
+        "if all(self._opinions[i].tobytes() == first for i in idx[1:]):",
+        "if self._opinions[idx[1]].tobytes() == first:",
+        ("tests/test_engine_differential.py",),
+    ),
+    Mutant(
+        "plan wide-radius meetings as co-located only",
+        "src/gridfusion/engine.py",
+        "elif self.config.comm_radius < self.grid.spacing:",
+        "elif True:",
+        ("tests/test_engine_differential.py",),
+    ),
+    Mutant(
+        "sense a planned landing one tick after it (the last tick of a block on time)",
+        "src/gridfusion/engine.py",
+        "self._senses[t].append((a, col))",
+        "self._senses[min(t + 1, PLAN_TICKS - 1)].append((a, col))",
+        ("tests/test_mean_distance_curve.py::test_no_consensus_mean_rows_match_the_exact_curve",),
+    ),
+    Mutant(
+        "drop the grown-row refresh after a merge",
+        "src/gridfusion/engine.py",
+        "self._opinions[grew] = occupancy.pmf_rows(self.masks[grew], self.config.level)",
+        "pass",
+        ("tests/test_engine.py::test_occupancy_carry_opinions_are_their_masks_pmfs",),
+    ),
+    Mutant(
+        "close the comm graph with one matrix product",
+        "src/gridfusion/engine.py",
+        "while not np.array_equal(reach, wider):",
+        "for _ in range(2):",
+        ("tests/test_engine.py::test_comm_graph_matches_scipy_components",),
+    ),
+    Mutant(
+        "non-symmetric Metropolis weights 1 / (1 + |N_a|)",
+        "src/gridfusion/fusion.py",
+        "weights[b] = 1.0 / (1 + max(own_count, count))",
+        "weights[b] = 1.0 / (1 + own_count)",
+        ("tests/test_fusion.py::test_fusion_step_keeps_the_normalized_geometric_mean",),
+    ),
+    Mutant(
+        "let east edges wrap to the next row",
+        "src/gridfusion/spatial.py",
+        "col < c - 1,",
+        "node < n,",
+        ("tests/test_spatial.py::test_choices_and_neighbors_match_a_brute_force_lattice",),
+    ),
+    Mutant(
+        "close the ring's upper bound",
+        "src/gridfusion/occupancy.py",
+        "(dist < radius + 0.5)",
+        "(dist <= radius + 0.5)",
+        ("tests/test_occupancy.py::test_circle_ring_is_half_open_at_exact_distances",),
+    ),
+    Mutant(
+        "take skips a uniform",
+        "src/gridfusion/mobility.py",
+        "return self.generator.random(n)",
+        "return self.generator.random(n + 1)[1:]",
+        ("tests/test_mobility.py::test_stream_first_uniforms_are_pinned",),
+    ),
+)
+
+
+def pytest_exit_code(copy: Path, selection) -> int:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    return subprocess.run([*PYTEST, *selection], cwd=copy, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="gridfusion-mutants-") as tmp:
+        copy = Path(tmp)
+        shutil.copytree(ROOT / "src", copy / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        shutil.copytree(ROOT / "tests", copy / "tests",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+
+        selections = sorted({test for m in MUTANTS for test in m.selection})
+        code = pytest_exit_code(copy, selections)
+        if code != 0:
+            print(f"the selections fail on the unmutated code (pytest exit {code})")
+            return 1
+
+        faults = 0
+        for mutant in MUTANTS:
+            target = copy / mutant.path
+            original = target.read_text()
+            if original.count(mutant.old) != 1:
+                print(f"STALE     {mutant.name}: the old text is not found exactly once "
+                      f"in {mutant.path}")
+                faults += 1
+                continue
+            target.write_text(original.replace(mutant.old, mutant.new))
+            try:
+                code = pytest_exit_code(copy, mutant.selection)
+            finally:
+                target.write_text(original)
+            # pytest exits 1 when tests fail; any other code is an error, not a kill
+            status = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR({code})")
+            faults += code != 1
+            print(f"{status:9s} {mutant.name}")
+        print(f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed")
+        return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
