@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -168,12 +168,6 @@ class RunConfig:
         return occupancy.FeatureField(self.side_count * self.side_count, features, self.level)
 
 
-class Encounter(NamedTuple):
-    step: int
-    node: int
-    robots: tuple
-
-
 def build_comm_graph(positions, grid: spatial.SpatialGrid, comm_radius: float):
     """Who hears whom, plus the encounter groups, for the current positions.
 
@@ -231,10 +225,8 @@ class RunTrace:
     step_count: int
     robot_convergence: tuple
     convergence_step: Optional[int]
-    encounters: tuple
     snapshots: dict
     final_pmfs: np.ndarray
-    final_masks: np.ndarray
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -289,7 +281,6 @@ class World:
             # sensing marks features only, so only fusion can break this later
             raise ConfigError("robot beliefs must mark feature nodes only")
         self.k = 0
-        self.encounters = []
         self._robots = np.arange(count)
         self._opinions = occupancy.pmf_rows(self.masks, config.level)
         self.dh = hellinger_batch(self._opinions, self.field.f_ref)
@@ -373,8 +364,7 @@ class World:
             neighbor_sets, groups = build_comm_graph(
                 self.positions, self.grid, self.config.comm_radius
             )
-            for node, members in groups:
-                self.encounters.append(Encounter(step=step_, node=node, robots=members))
+            for _, members in groups:
                 changed += self._fuse_group(neighbor_sets, members, step_)
         if changed:
             self._refresh_distances(sorted(set(changed)), step_)
@@ -484,8 +474,6 @@ def run(config: RunConfig) -> RunTrace:
         step_count=world.k,
         robot_convergence=robot_convergence,
         convergence_step=convergence_step,
-        encounters=tuple(world.encounters),
         snapshots=snapshots,
         final_pmfs=world.opinions(),
-        final_masks=world.masks.copy(),
     )

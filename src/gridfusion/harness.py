@@ -153,6 +153,9 @@ def run_sweep(config: RunConfig, robot_counts, modes, runs: int, master_seed: in
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    for what, values in (("robot counts", [int(n) for n in robot_counts]), ("modes", modes)):
+        if len(set(values)) != len(values):  # a repeated block would overwrite its traces
+            raise ConfigError(f"{what} must not repeat, got {list(values)}")
     blocks = []
     traces_by_block = {}
     with _pool(workers) as pool:
@@ -296,11 +299,11 @@ def load_config(path):
     if not isinstance(doc, dict) or doc.get("format") != CONFIG_FORMAT:
         raise ConfigError(f"{path} is not a {CONFIG_FORMAT} file")
     _check_keys(doc, ("format", "run", "batch"), "top-level config")
-    run_section = doc.get("run", {})
-    if not isinstance(run_section, dict):
-        raise ConfigError("config 'run' section must be a mapping")
-    batch = doc.get("batch", {}) or {}
-    if not isinstance(batch, dict):
-        raise ConfigError("config 'batch' section must be a mapping")
+    # an absent section, or an empty one (YAML null), is {}
+    run_section = {} if doc.get("run") is None else doc["run"]
+    batch = {} if doc.get("batch") is None else doc["batch"]
+    for name, section in (("run", run_section), ("batch", batch)):
+        if not isinstance(section, dict):
+            raise ConfigError(f"config {name!r} section must be a mapping")
     _check_keys(batch, ("runs", "workers"), "config 'batch'")
     return config_from_dict(run_section), batch

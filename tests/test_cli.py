@@ -70,6 +70,17 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert doc["blocks"][0]["robot_count"] == 3
 
 
+@pytest.mark.parametrize("sections", ["run:\nbatch:\n", "run:\n", "batch:\n", ""])
+def test_empty_config_sections_read_as_empty_mappings(tmp_path, sections):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text("format: gridfusion-config/1\n" + sections)
+    code = main(["batch", "--config", str(cfg_path), "--robots", "2", "--runs", "2",
+                 "--max-steps", "20", "--out", str(tmp_path / "o")])
+    assert code == 0
+    doc = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert doc["blocks"][0]["runs"] == 2
+
+
 def test_batch_reads_its_config_file_once(tmp_path, monkeypatch):
     cfg_path = tmp_path / "config.yaml"
     cfg_path.write_text("format: gridfusion-config/1\nrun: {max_steps: 50}\nbatch: {runs: 2}\n")
@@ -160,6 +171,10 @@ def test_huge_comm_radius_runs_without_warnings(tmp_path, capsys, radius):
     (["batch"], "run: {}\nbatch: {runs: x}"),
     (["batch", "--robots", "2"], "bacth: {runs: 2}"),
     (["batch", "--robots", "2"], "batch: {run: 2}"),
+    (["batch", "--robots", "2"], "batch: []"),
+    (["batch", "--robots", "2"], "batch: 0"),
+    (["run"], "run: []"),
+    (["batch", "--robots", "4,4", "--runs", "2"], None),
 ])
 def test_bad_inputs_exit_2_without_traceback(tmp_path, capsys, argv, yaml_text):
     argv = [*argv, "--out", str(tmp_path / "o")]

@@ -208,7 +208,7 @@ def test_single_robot_consensus_equals_no_consensus():
     a = run(small_config(robot_count=1, mode="consensus"))
     b = run(small_config(robot_count=1, mode="no-consensus"))
     assert np.array_equal(a.distances, b.distances)
-    assert a.encounters == ()
+    assert a.final_pmfs.tobytes() == b.final_pmfs.tobytes()
 
 
 def test_colocated_nominal_robots_stay_nominal():
@@ -218,8 +218,9 @@ def test_colocated_nominal_robots_stay_nominal():
     world = World.from_config(cfg)
     for _ in range(3):
         world.tick()
+        assert world.positions.tolist() == [1, 1]
     assert not world.masks.any()
-    assert len(world.encounters) == 3
+    assert np.array_equal(world.opinions(), np.tile(world.field.f_nom, (2, 1)))
 
 
 def test_fusion_unions_occupied_sets_through_a_tick():
@@ -232,8 +233,8 @@ def test_fusion_unions_occupied_sets_through_a_tick():
     streams = [RngStream.from_seed(seed, a) for a in (1, 2)]
     world = World(RunConfig(robot_count=2, seed=seed), [36, 36], masks, streams)
     world.tick()
-    assert len(world.encounters) == 1
-    assert world.encounters[0].node not in DEFAULT_FEATURES
+    assert world.positions[0] == world.positions[1]
+    assert world.positions[0] not in DEFAULT_FEATURES
     for idx in range(2):
         assert (np.flatnonzero(world.masks[idx]) + 1).tolist() == [19, 20]
 
@@ -317,11 +318,14 @@ def test_run_minimal_horizon_censors():
 def test_mode_equivalence_without_encounters():
     # frozen seed: these two robots never meet within the horizon
     cfg = small_config(seed=2, max_steps=60, epsilon=1e-9)
+    world = World.from_config(cfg)
+    for _ in range(cfg.max_steps):
+        world.tick()
+        assert world.positions[0] != world.positions[1]
     consensus = run(cfg)
     baseline = run(dataclasses.replace(cfg, mode="no-consensus"))
-    assert consensus.encounters == ()
     assert np.array_equal(consensus.distances, baseline.distances)
-    assert np.array_equal(consensus.final_masks, baseline.final_masks)
+    assert consensus.final_pmfs.tobytes() == baseline.final_pmfs.tobytes()
 
 
 def test_walks_are_shared_across_modes_and_robot_counts():
@@ -365,8 +369,9 @@ def test_canonical_run_is_monotone_and_complete():
     assert diffs.max() <= 1e-12
     assert not trace.censored
     assert np.all(trace.distances[-1] == 0.0)
+    # every robot ends knowing every feature, so its opinion is the reference
     field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
-    assert np.array_equal(trace.final_masks, np.tile(field.mask, (4, 1)))
+    assert trace.final_pmfs.tobytes() == np.tile(field.f_ref, (4, 1)).tobytes()
 
 
 @pytest.mark.parametrize("config, convergence", [
@@ -412,8 +417,10 @@ def test_chernoff_carry_runs_deterministically():
     b = run(cfg)
     assert np.array_equal(a.distances, b.distances)
     # occupancy vectors stay inside the feature set even with raw carry
-    field = FeatureField(64, frozenset(DEFAULT_FEATURES), 0.8)
-    assert not np.any(a.final_masks & ~field.mask)
+    world = World.from_config(cfg)
+    for _ in range(cfg.max_steps):
+        world.tick()
+    assert world.masks.any() and not np.any(world.masks & ~world.field.mask)
 
 
 def geometric_mean(rows):
@@ -469,17 +476,6 @@ def test_snapshots_recorded_at_requested_steps():
         assert pmf.shape == (4, 64)
         assert np.abs(pmf.sum(axis=1) - 1.0).max() < 1e-12
     assert np.all(trace.snapshots[0] == 1 / 64)
-
-
-def test_encounters_are_ordered_and_well_formed():
-    trace = run(RunConfig(seed=1))
-    for enc in trace.encounters:
-        assert 1 <= enc.step <= trace.step_count
-        assert 1 <= enc.node <= 64
-        assert list(enc.robots) == sorted(enc.robots)
-        assert len(enc.robots) >= 2
-    steps = [enc.step for enc in trace.encounters]
-    assert steps == sorted(steps)
 
 
 def test_world_rejects_mismatched_robots():

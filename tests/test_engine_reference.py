@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gridfusion import fusion
-from gridfusion.engine import DEFAULT_FEATURES, Encounter, RunConfig, build_comm_graph, run
+from gridfusion.engine import DEFAULT_FEATURES, RunConfig, build_comm_graph, run
 from gridfusion.metrics import hellinger_batch
 from gridfusion.mobility import (
     RngStream,
@@ -76,7 +76,6 @@ def reference_run(config: RunConfig) -> dict:
     rows = [dh.copy()]
     first = [0 if d < cfg.epsilon else None for d in dh]
     convergence = 0 if all(f == 0 for f in first) else None
-    encounters = []
     snapshots = {0: opinions()} if 0 in cfg.snapshot_steps else {}
     step = 0
     while convergence is None and step < cfg.max_steps:
@@ -92,8 +91,7 @@ def reference_run(config: RunConfig) -> dict:
             for idx in changed:
                 carried[idx] = pmf_row(idx)
         if cfg.mode == "consensus":
-            graph, groups = build_comm_graph(positions, grid, cfg.comm_radius)
-            encounters += [Encounter(step, node, members) for node, members in groups]
+            graph, _ = build_comm_graph(positions, grid, cfg.comm_radius)
             changed += fuse(graph)
         for idx in sorted(set(changed)):
             row = carried[idx:idx + 1] if carried is not None else pmf_row(idx)[None, :]
@@ -111,23 +109,20 @@ def reference_run(config: RunConfig) -> dict:
         robot_convergence=tuple(first),
         convergence_step=convergence,
         censored=convergence is None,
-        encounters=tuple(encounters),
         snapshots=snapshots,
         final_pmfs=opinions(),
-        final_masks=masks.copy(),
     )
 
 
 def assert_same_trace(trace, expected):
     assert trace.distances.shape == expected["distances"].shape
     assert trace.distances.tobytes() == expected["distances"].tobytes()
-    for name in ("robot_convergence", "convergence_step", "censored", "encounters"):
+    for name in ("robot_convergence", "convergence_step", "censored"):
         assert getattr(trace, name) == expected[name], name
     assert sorted(trace.snapshots) == sorted(expected["snapshots"])
     for k, pmfs in expected["snapshots"].items():
         assert trace.snapshots[k].tobytes() == pmfs.tobytes(), f"snapshot {k}"
     assert trace.final_pmfs.tobytes() == expected["final_pmfs"].tobytes()
-    assert trace.final_masks.tobytes() == expected["final_masks"].tobytes()
 
 
 FEATURES = {1: (1,), 3: (2, 6, 7), 8: DEFAULT_FEATURES}

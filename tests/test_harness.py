@@ -85,6 +85,10 @@ def test_batch_rejects_bad_arguments(pools_started):
             run_batch(tiny_config(), 1, 0, workers)
         with pytest.raises(ConfigError):
             run_sweep(tiny_config(), [2], ["consensus"], 1, 0, workers=workers)
+    # a repeated block would run twice and overwrite its own trace files
+    for counts, modes in (([4, 2, 4], ["consensus"]), ([2], ["consensus", "consensus"])):
+        with pytest.raises(ConfigError, match="must not repeat"):
+            run_sweep(tiny_config(), counts, modes, 1, 0, workers=2)
     assert pools_started == []
 
 
@@ -170,8 +174,7 @@ def hand_built_trace(steps, rows, step_count):
     rows = np.array(rows, dtype=float)
     return RunTrace(seed=0, change_steps=np.array(steps), change_rows=rows,
                     step_count=step_count, robot_convergence=(None,) * rows.shape[1],
-                    convergence_step=None, encounters=(), snapshots={}, final_pmfs=rows[-1:],
-                    final_masks=np.zeros((rows.shape[1], 1), dtype=bool))
+                    convergence_step=None, snapshots={}, final_pmfs=rows[-1:])
 
 
 @pytest.mark.parametrize("steps, rows, step_count", [
