@@ -153,18 +153,19 @@ def run_sweep(config: RunConfig, robot_counts, modes, runs: int, master_seed: in
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    for what, values in (("robot counts", [int(n) for n in robot_counts]), ("modes", modes)):
+    counts = [int(n) for n in robot_counts]
+    for what, values in (("robot counts", counts), ("modes", modes)):
         if len(set(values)) != len(values):  # a repeated block would overwrite its traces
             raise ConfigError(f"{what} must not repeat, got {list(values)}")
     blocks = []
     traces_by_block = {}
     with _pool(workers) as pool:
         for mode in modes:
-            for n in robot_counts:
-                block_config = dataclasses.replace(config, mode=mode, robot_count=int(n))
+            for n in counts:
+                block_config = dataclasses.replace(config, mode=mode, robot_count=n)
                 traces = run_batch(block_config, runs, master_seed, workers, pool=pool)
-                traces_by_block[(mode, int(n))] = traces
-                blocks.append(summarize_block(mode, int(n), traces))
+                traces_by_block[(mode, n)] = traces
+                blocks.append(summarize_block(mode, n, traces))
     per_block = ("robot_count", "mode", "seed")
     echo = {k: v for k, v in config_to_dict(config).items() if k not in per_block}
     summary = McSummary(
