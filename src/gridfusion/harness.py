@@ -153,7 +153,8 @@ def run_sweep(config: RunConfig, robot_counts, modes, runs: int, master_seed: in
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    counts = [int(n) for n in robot_counts]
+    # a non-integer count reaches RunConfig.validate as it is, and is rejected there
+    counts = [int(n) if _is_int(n) else n for n in robot_counts]
     for what, values in (("robot counts", counts), ("modes", modes)):
         if len(set(values)) != len(values):  # a repeated block would overwrite its traces
             raise ConfigError(f"{what} must not repeat, got {list(values)}")

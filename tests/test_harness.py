@@ -85,6 +85,9 @@ def test_batch_rejects_bad_arguments(pools_started):
             run_batch(tiny_config(), 1, 0, workers)
         with pytest.raises(ConfigError):
             run_sweep(tiny_config(), [2], ["consensus"], 1, 0, workers=workers)
+    for counts in ([2.7], [True], ["2"]):
+        with pytest.raises(ConfigError, match="robot_count"):
+            run_sweep(tiny_config(), counts, ["consensus"], 1, 0)
     # a repeated block would run twice and overwrite its own trace files
     for counts, modes in (([4, 2, 4], ["consensus"]), ([2], ["consensus", "consensus"])):
         with pytest.raises(ConfigError, match="must not repeat"):
