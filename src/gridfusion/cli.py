@@ -66,7 +66,7 @@ def _cmd_run(args) -> int:
         master_seed=config.seed,
         runs_per_block=1,
         step_seconds=config.step_seconds,
-        config_echo=harness.config_to_dict(config),
+        config_echo=dataclasses.asdict(config),
         blocks=(block,),
     )
     harness.emit_outputs(

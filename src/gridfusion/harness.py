@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import MODES, RunConfig, RunTrace, run
+from .engine import RunConfig, RunTrace, run
 from .errors import ConfigError
 from .spatial import _is_int
 
@@ -49,9 +49,16 @@ def _execute_run(args) -> RunTrace:
     return run(dataclasses.replace(config, seed=seed))
 
 
-def _pool(workers, pool=None):
-    """``pool`` if given, else a new pool if ``workers`` is an integer above 1."""
-    if pool is not None or not (_is_int(workers) and workers > 1):
+def _check_runs_and_workers(runs, workers) -> None:
+    if not _is_int(runs) or runs < 1:
+        raise ConfigError(f"runs must be a positive integer, got {runs!r}")
+    if not _is_int(workers) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+
+
+def _pool(workers: int, pool=None):
+    """``pool`` if given, else a new pool if ``workers`` is above 1."""
+    if pool is not None or workers == 1:
         return contextlib.nullcontext(pool)
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
@@ -67,10 +74,7 @@ def run_batch(config: RunConfig, runs: int, master_seed: int, workers: int = 1, 
     ``pool``, or onto a pool of their own. A run that trips an internal
     invariant aborts the batch; the offending seed is part of the message.
     """
-    if not _is_int(runs) or runs < 1:
-        raise ConfigError(f"runs must be a positive integer, got {runs!r}")
-    if not _is_int(workers) or workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+    _check_runs_and_workers(runs, workers)
     config.validate()
     jobs = [(config, derive_run_seed(master_seed, i)) for i in range(runs)]
     if workers == 1:
@@ -91,16 +95,8 @@ class McBlock:
     std_steps: float
 
     def as_dict(self, step_seconds: float) -> dict:
-        return {
-            "mode": self.mode,
-            "robot_count": self.robot_count,
-            "runs": self.runs,
-            "censored": self.censored,
-            "mean_steps": self.mean_steps,
-            "std_steps": self.std_steps,
-            "mean_seconds": self.mean_steps * step_seconds,
-            "std_seconds": self.std_steps * step_seconds,
-        }
+        return {**dataclasses.asdict(self), "mean_seconds": self.mean_steps * step_seconds,
+                "std_seconds": self.std_steps * step_seconds}
 
 
 @dataclass(frozen=True)
@@ -149,32 +145,29 @@ def run_sweep(config: RunConfig, robot_counts, modes, runs: int, master_seed: in
               workers: int = 1):
     """Batches for every (mode, robot_count) pair, e.g. the consensus versus
     no-consensus comparison; with ``workers > 1`` one pool serves them all.
+    Every block is checked before the first run starts.
     Returns (McSummary, {(mode, n): traces})."""
-    for mode in modes:
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_runs_and_workers(runs, workers)
     # a non-integer count reaches RunConfig.validate as it is, and is rejected there
     counts = [int(n) if _is_int(n) else n for n in robot_counts]
-    for what, values in (("robot counts", counts), ("modes", modes)):
-        if len(set(values)) != len(values):  # a repeated block would overwrite its traces
-            raise ConfigError(f"{what} must not repeat, got {list(values)}")
-    blocks = []
-    traces_by_block = {}
+    configs = {(mode, n): dataclasses.replace(config, mode=mode, robot_count=n).validate()
+               for mode in modes for n in counts}
+    # a repeated block would overwrite its traces
+    if not configs or len(configs) != len(modes) * len(counts):
+        raise ConfigError(f"modes {list(modes)} and robot counts {counts} must be "
+                          f"non-empty and must not repeat")
     with _pool(workers) as pool:
-        for mode in modes:
-            for n in counts:
-                block_config = dataclasses.replace(config, mode=mode, robot_count=n)
-                traces = run_batch(block_config, runs, master_seed, workers, pool=pool)
-                traces_by_block[(mode, n)] = traces
-                blocks.append(summarize_block(mode, n, traces))
+        traces_by_block = {key: run_batch(block_config, runs, master_seed, workers, pool=pool)
+                           for key, block_config in configs.items()}
     per_block = ("robot_count", "mode", "seed")
-    echo = {k: v for k, v in config_to_dict(config).items() if k not in per_block}
     summary = McSummary(
         master_seed=master_seed,
         runs_per_block=runs,
         step_seconds=config.step_seconds,
-        config_echo=echo,
-        blocks=tuple(blocks),
+        # json writes the tuple fields as lists
+        config_echo={k: v for k, v in dataclasses.asdict(config).items() if k not in per_block},
+        blocks=tuple(summarize_block(mode, n, traces)
+                     for (mode, n), traces in traces_by_block.items()),
     )
     return summary, traces_by_block
 
@@ -263,15 +256,6 @@ def parse_features(text: str):
     if text.startswith("circle:"):
         return text
     return parse_ints(text, "features")
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["features"] = (
-        config.features if isinstance(config.features, str) else list(config.features)
-    )
-    d["snapshot_steps"] = list(config.snapshot_steps)
-    return d
 
 
 def _check_keys(section: dict, known, where: str) -> None:

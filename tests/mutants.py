@@ -55,6 +55,13 @@ MUTANTS = (
         ("tests/test_engine_differential.py",),
     ),
     Mutant(
+        "treat every comm radius as co-location",
+        "src/gridfusion/engine.py",
+        "if comm_radius < grid.spacing:",
+        "if True:",
+        ("tests/test_engine_differential.py",),
+    ),
+    Mutant(
         "sense a planned landing one tick after it (the last tick of a block on time)",
         "src/gridfusion/engine.py",
         "self._senses[t].append((a, col))",
@@ -102,6 +109,13 @@ MUTANTS = (
         "return self.generator.random(n)",
         "return self.generator.random(n + 1)[1:]",
         ("tests/test_mobility.py::test_stream_first_uniforms_are_pinned",),
+    ),
+    Mutant(
+        "check each sweep block only when its turn comes",
+        "src/gridfusion/harness.py",
+        "dataclasses.replace(config, mode=mode, robot_count=n).validate()",
+        "dataclasses.replace(config, mode=mode, robot_count=n)",
+        ("tests/test_harness.py::test_sweep_checks_every_block_before_its_first_run",),
     ),
 )
 

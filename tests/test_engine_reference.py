@@ -2,10 +2,11 @@
 
 ``reference_run`` is the straightforward form of the model, built only from
 public functions: every tick each robot draws its step with
-``mobility.sample_next``, senses its landing node, the comm graph is rebuilt
-from all positions, and every robot with neighbors fuses with its own
-Metropolis weights. The engine plans walks ahead and skips work it can prove
-is a no-op; its ``RunTrace`` must match the reference bit for bit.
+``mobility.sample_next``, senses its landing node, every robot's neighbor
+set is rebuilt from all positions by a pairwise test, and every robot with
+neighbors fuses with its own Metropolis weights. The engine plans walks
+ahead and skips work it can prove is a no-op; its ``RunTrace`` must match
+the reference bit for bit.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from gridfusion import fusion
-from gridfusion.engine import DEFAULT_FEATURES, RunConfig, build_comm_graph, run
+from gridfusion.engine import DEFAULT_FEATURES, RunConfig, run
 from gridfusion.metrics import hellinger_batch
 from gridfusion.mobility import (
     RngStream,
@@ -50,6 +51,28 @@ def reference_run(config: RunConfig) -> dict:
 
     def opinions():
         return carried.copy() if carried is not None else pmf_rows()
+
+    def neighbor_sets():
+        """Robot id -> ids it hears: robots on its node or, when comm_radius
+        >= spacing, robots whose grid points lie within comm_radius."""
+        if cfg.comm_radius < cfg.spacing:
+            nodes = positions.tolist()
+
+            def hears(a, b):
+                return nodes[a] == nodes[b]
+        else:
+            xy = [((q - 1) * grid.spacing, (r - 1) * grid.spacing)
+                  for r, q in map(grid.node_row_col, positions.tolist())]
+            reach = cfg.comm_radius * cfg.comm_radius
+
+            def hears(a, b):
+                dx, dy = xy[a][0] - xy[b][0], xy[a][1] - xy[b][1]
+                return dx * dx + dy * dy <= reach
+        # ascending ids, as the engine builds them: metropolis_weights sums in
+        # iteration order
+        sets = {a + 1: frozenset(b + 1 for b in range(n) if b != a and hears(a, b))
+                for a in range(n)}
+        return {a: nbrs for a, nbrs in sets.items() if nbrs}
 
     def fuse(graph):
         before = {idx: carried[idx] if carried is not None else pmf_row(idx) for idx in range(n)}
@@ -91,8 +114,7 @@ def reference_run(config: RunConfig) -> dict:
             for idx in changed:
                 carried[idx] = pmf_row(idx)
         if cfg.mode == "consensus":
-            graph, _ = build_comm_graph(positions, grid, cfg.comm_radius)
-            changed += fuse(graph)
+            changed += fuse(neighbor_sets())
         for idx in sorted(set(changed)):
             row = carried[idx:idx + 1] if carried is not None else pmf_row(idx)[None, :]
             dh[idx] = hellinger_batch(row, field.f_ref)[0]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gridfusion.engine import DEFAULT_FEATURES
 from gridfusion.fusion import chernoff_fuse, merge_occupancy, metropolis_weights
-from gridfusion.occupancy import FeatureField, OccupancyVector
+from gridfusion.occupancy import FeatureField, OccupancyVector, pmf_rows
 
 
 def random_pmf(rng, size):
@@ -286,3 +286,54 @@ def test_no_false_positives_exhaustive_small_supports():
             fused = chernoff_fuse([(pmfs[a], 0.5), (pmfs[b], 0.5)])
             marked = fused > np.full(size, 1.0 / size)
             assert not np.any(marked & ~union[a, b])
+
+
+@st.composite
+def colocated_groups(draw):
+    """Occupancy masks of a co-located group of 2-6 robots on a 2x2 to 9x9
+    grid, and a level in [0.6, 0.9]."""
+    g, side = draw(st.integers(2, 6)), draw(st.integers(2, 9))
+    row = st.lists(st.booleans(), min_size=side * side, max_size=side * side)
+    masks = draw(st.lists(row, min_size=g, max_size=g))
+    return np.array(masks, dtype=bool), draw(st.floats(0.6, 0.9))
+
+
+def adoptions(masks, level):
+    """(fused, rule, tie) for a co-located group: row a of fused marks the
+    nodes that member a + 1's fusion puts above nominal; rule marks node s iff
+    S * r^(k_s/g) > sum_t r^(k_t/g), with r = L/(1-L) and k_s the number of
+    members that know s; tie marks the nodes where those two sides lie within
+    a relative 1e-12 of each other."""
+    g, s = masks.shape
+    pmfs = pmf_rows(masks, level)
+    f_nom = pmf_rows(np.zeros((1, s), dtype=bool), level)[0]
+    fused = []
+    for a in range(1, g + 1):
+        weights = metropolis_weights(a, {b: g - 1 for b in range(1, g + 1) if b != a})
+        fused.append(chernoff_fuse([(pmfs[b - 1], w) for b, w in sorted(weights.items())]) > f_nom)
+    power = (level / (1.0 - level)) ** (masks.sum(axis=0) / g)
+    lhs, rhs = s * power, power.sum()
+    return np.array(fused), lhs > rhs, np.abs(lhs - rhs) <= 1e-12 * rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(colocated_groups())
+def test_colocated_fusion_is_a_count_threshold(group):
+    """Every member of a co-located group weighs each opinion 1/g, and every
+    opinion is a two-level PMF, so the normalizers cancel and fused(s) is
+    proportional to r^(k_s/g): a node is adopted by a count threshold."""
+    masks, level = group
+    fused, rule, tie = adoptions(masks, level)
+    assert (fused[:, ~tie] == rule[~tie]).all()
+
+
+def test_count_threshold_merge_need_not_be_the_union():
+    # robots 1 and 2 know nodes 1-3 and robot 3 knows node 4 alone; with
+    # r = 4, 4 * 4^(1/3) < 3 * 4^(2/3) + 4^(1/3), so nobody adopts node 4
+    masks = np.array([[1, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]], dtype=bool)
+    fused, rule, tie = adoptions(masks, 0.8)
+    assert not tie.any() and (fused == rule).all()
+    assert rule.tolist() == [True, True, True, False]
+    merged = masks | fused
+    assert merged[0].tolist() == [True, True, True, False]
+    assert merged[2].tolist() == [True, True, True, True]

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import pickle
 from pathlib import Path
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 import yaml
 
+from gridfusion import cli, harness
 from gridfusion.engine import DEFAULT_FEATURES, RunConfig, RunTrace, run
 from gridfusion.errors import ConfigError
 from gridfusion.harness import (
     McSummary,
     config_from_dict,
-    config_to_dict,
     derive_run_seed,
     emit_outputs,
     load_config,
@@ -93,6 +94,32 @@ def test_batch_rejects_bad_arguments(pools_started):
         with pytest.raises(ConfigError, match="must not repeat"):
             run_sweep(tiny_config(), counts, modes, 1, 0, workers=2)
     assert pools_started == []
+
+
+def test_sweep_checks_every_block_before_its_first_run(pools_started, monkeypatch, tmp_path):
+    runs_started = []
+
+    def counting_run(config):
+        runs_started.append(config.robot_count)
+        return run(config)
+
+    monkeypatch.setattr(harness, "run", counting_run)
+    config = tiny_config()
+    with pytest.raises(ConfigError, match="robot_count"):
+        run_sweep(config, [4, 0], ["consensus"], 3, 0, workers=2)
+    assert pools_started == []
+    with pytest.raises(ConfigError, match="runs"):
+        run_sweep(config, [4], ["consensus"], 0, 0, workers=2)
+    assert pools_started == []
+    # an empty sweep has no block to run
+    for counts, modes in (([], ["consensus"]), ([4], [])):
+        with pytest.raises(ConfigError, match="non-empty"):
+            run_sweep(config, counts, modes, 2, 1, workers=2)
+    argv = ["batch", "--robots", "4,16,0", "--mode", "both", "--runs", "300",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert runs_started == [] and pools_started == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_starts_one_pool_and_matches_serial_traces(pools_started):
@@ -261,9 +288,11 @@ def test_readme_config_example_loads(tmp_path):
     assert batch == {"runs": 100, "workers": 4}
 
 
-def test_config_dict_round_trip():
-    config = tiny_config()
-    assert config_from_dict(config_to_dict(config)) == config
+@pytest.mark.parametrize("features", [DEFAULT_FEATURES, "circle:4,5,2"])
+def test_config_reads_back_from_its_json_echo(features):
+    config = tiny_config(features=features, snapshot_steps=(0, 5))
+    echo = json.loads(json.dumps(dataclasses.asdict(config)))
+    assert config_from_dict(echo) == config
 
 
 def test_config_file_errors(tmp_path):
