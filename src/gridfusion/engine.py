@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -163,9 +163,45 @@ class RunConfig:
 
     def feature_field(self) -> occupancy.FeatureField:
         """The run's ground truth: the feature nodes with their reference and
-        nominal PMFs. The one place a config becomes a FeatureField."""
+        nominal PMFs. The one place a config becomes a FeatureField; a World
+        takes the one that shared_parts() holds."""
         features = frozenset(self.resolve_features())
         return occupancy.FeatureField(self.side_count * self.side_count, features, self.level)
+
+    def shared_parts(self) -> "SharedParts":
+        """The read-only parts of a World that depend only on the grid, the
+        level and the feature set; every World of them shares one copy."""
+        return _shared_parts(self.side_count, self.spacing, self.level,
+                             frozenset(self.resolve_features()))
+
+
+class SharedParts(NamedTuple):
+    """What every World of one grid, level and feature set reads and no run
+    writes. Every array is read-only; choices (grid.choices) and counts (the
+    choice count per node, 0 first) are the walk tables as tuples."""
+
+    grid: spatial.SpatialGrid
+    field: occupancy.FeatureField
+    transition: np.ndarray
+    off_field: np.ndarray
+    choices: tuple
+    counts: tuple
+
+
+@lru_cache(maxsize=1)
+def _shared_parts(side_count, spacing, level, features: frozenset) -> SharedParts:
+    """A configuration's SharedParts, built once per process. Keyed by exactly
+    the config fields they depend on; maxsize=1 keeps only the last
+    configuration's parts (134 MB on 64x64) alive until the next is built."""
+    grid = spatial.build_grid(side_count, spacing)
+    field = RunConfig(side_count=side_count, spacing=spacing, level=level,
+                      features=features).feature_field()
+    off_field = ~field.mask
+    off_field.flags.writeable = False
+    choices = tuple(map(tuple, grid.choices.tolist()))
+    counts = (0, *(grid.degrees + 1).tolist())
+    return SharedParts(grid, field, spatial.build_transition_matrix(grid), off_field,
+                       choices, counts)
 
 
 def build_comm_graph(positions, grid: spatial.SpatialGrid, comm_radius: float):
@@ -246,7 +282,9 @@ class RunTrace:
 
 
 class World:
-    """Mutable state of one run; robots live in flat arrays for speed.
+    """Mutable state of one run; robots live in flat arrays for speed. The
+    grid, the feature field, the transition matrix and the walk tables are
+    the config's SharedParts, which every World of that config reads.
 
     A robot's walk depends only on its own stream and the grid, so World
     plans every robot's positions for a block of ticks at once and marks the
@@ -261,10 +299,13 @@ class World:
     def __init__(self, config: RunConfig, positions, masks, streams):
         """positions holds each robot's 1-based start node and masks its (N, S)
         starting occupancy masks, both in robot-id order; both are copied. The
-        grid and the feature field are built from config."""
+        grid, the feature field, the transition matrix and the walk tables come
+        from config.shared_parts(), built once per configuration and process;
+        positions, masks, streams, opinions and distances are this run's own."""
         count = config.robot_count
-        self.grid = grid = spatial.build_grid(config.side_count, config.spacing)
-        self.field = config.feature_field()
+        parts = config.shared_parts()
+        self.grid = grid = parts.grid
+        self.field = parts.field
         self.positions = np.array(positions, dtype=np.int64)
         if self.positions.shape != (count,) or len(streams) != count:
             raise ConfigError("positions and streams must match config.robot_count")
@@ -274,9 +315,9 @@ class World:
         if self.masks.shape != (count, grid.node_count):
             raise ConfigError(f"masks must have shape ({count}, {grid.node_count})")
         self.config = config
-        self.transition = spatial.build_transition_matrix(grid)
+        self.transition = parts.transition
         self.streams = list(streams)
-        self._off_field = ~self.field.mask
+        self._off_field = parts.off_field
         if (self.masks & self._off_field).any():
             # sensing marks features only, so only fusion can break this later
             raise ConfigError("robot beliefs must mark feature nodes only")
@@ -285,8 +326,7 @@ class World:
         self._opinions = occupancy.pmf_rows(self.masks, config.level)
         self.dh = hellinger_batch(self._opinions, self.field.f_ref)
         self.dh.flags.writeable = False
-        self._choices = grid.choices.tolist()
-        self._counts = [0, *(grid.degrees + 1).tolist()]
+        self._choices, self._counts = parts.choices, parts.counts
         self._plan = np.empty((0, len(self.positions)), dtype=np.int64)
         self._senses = self._meets = []
         self._cursor = 0

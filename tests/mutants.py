@@ -117,6 +117,27 @@ MUTANTS = (
         "dataclasses.replace(config, mode=mode, robot_count=n)",
         ("tests/test_harness.py::test_sweep_checks_every_block_before_its_first_run",),
     ),
+    Mutant(
+        "key the shared World parts without the level they are built at",
+        "src/gridfusion/engine.py",
+        "@lru_cache(maxsize=1)\n"
+        "def _shared_parts(side_count, spacing, level, features: frozenset) -> SharedParts:\n",
+        "def _shared_parts(side_count, spacing, level, features: frozenset) -> SharedParts:\n"
+        "    _shared_parts.level = level\n"
+        "    return _parts_keyed_without_level(side_count, spacing, features)\n"
+        "\n\n"
+        "@lru_cache(maxsize=1)\n"
+        "def _parts_keyed_without_level(side_count, spacing, features) -> SharedParts:\n"
+        "    level = _shared_parts.level\n",
+        ("tests/test_engine.py::test_a_grid_level_or_feature_change_gives_new_parts",),
+    ),
+    Mutant(
+        "keep every configuration's shared World parts alive",
+        "src/gridfusion/engine.py",
+        "@lru_cache(maxsize=1)",
+        "@lru_cache(maxsize=None)",
+        ("tests/test_engine.py::test_shared_parts_keep_one_configuration_alive",),
+    ),
 )
 
 

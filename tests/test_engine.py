@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -499,3 +501,56 @@ def test_world_builds_its_grid_and_field_from_the_config():
     assert world.field.occupied == frozenset(cfg.resolve_features())
     assert world.field.level == 0.9 and world.field.node_count == 36
     assert np.array_equal(world.field.f_ref, cfg.feature_field().f_ref)
+
+
+# a World takes its grid, field, transition matrix and walk tables from one
+# per-process cache keyed by the grid, the level and the feature set
+SHARED_BASE = RunConfig(side_count=6, spacing=0.5, level=0.9, features="circle:3,3,1")
+
+
+def shared(world):
+    return world.grid, world.field, world.transition, world._choices, world._counts
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=5), dict(robot_count=7), dict(mode="no-consensus"), dict(carry="chernoff"),
+    dict(comm_radius=1.5), dict(max_steps=9), dict(snapshot_steps=(0, 3)), dict(epsilon=0.2),
+    dict(step_seconds=0.5), dict(features=tuple(reversed(SHARED_BASE.resolve_features()))),
+], ids=lambda change: next(iter(change)))
+def test_worlds_differing_only_per_run_share_their_parts(change):
+    first = World.from_config(SHARED_BASE)
+    other = World.from_config(dataclasses.replace(SHARED_BASE, **change))
+    assert all(a is b for a, b in zip(shared(first), shared(other)))
+    assert other.field is SHARED_BASE.shared_parts().field
+
+
+@pytest.mark.parametrize("change", [
+    dict(side_count=7), dict(spacing=0.6), dict(level=0.85), dict(features="circle:4,4,1"),
+], ids=lambda change: next(iter(change)))
+def test_a_grid_level_or_feature_change_gives_new_parts(change):
+    first = World.from_config(SHARED_BASE)
+    other = World.from_config(dataclasses.replace(SHARED_BASE, **change))
+    assert not any(a is b for a, b in zip(shared(first), shared(other)))
+    assert other.grid.spacing == other.config.spacing and other.field.level == other.config.level
+
+
+def test_shared_parts_are_read_only():
+    world = World.from_config(SHARED_BASE)
+    grid, field = world.grid, world.field
+    arrays = (world.transition, world._off_field, grid.choices, grid.degrees, grid.coordinates,
+              field.mask, field.f_ref, field.f_nom)
+    assert not any(a.flags.writeable for a in arrays)
+    assert type(world._counts) is tuple and type(world._choices) is tuple
+    assert all(type(row) is tuple for row in world._choices)
+
+
+def test_shared_parts_keep_one_configuration_alive():
+    config_a = RunConfig(side_count=5, spacing=0.5, features=(7, 13))
+    first = World.from_config(config_a)
+    transition = weakref.ref(first.transition)
+    again = World.from_config(dataclasses.replace(config_a, seed=1))
+    assert again.transition is first.transition
+    del first, again
+    World.from_config(dataclasses.replace(config_a, side_count=6))
+    gc.collect()
+    assert transition() is None
