@@ -41,7 +41,7 @@ DEFAULT_FEATURES = (19, 20, 21, 26, 30, 34, 38, 42, 46, 51, 52, 53)
 
 MONOTONE_SLACK = 1e-12
 
-# World plans every robot's walk in blocks of this many ticks, each planned
+# _plan plans every robot's walk in blocks of this many ticks, each planned
 # only when the next tick needs it, so a run draws at most PLAN_TICKS - 1
 # uniforms per robot past its end.
 PLAN_TICKS = 32
@@ -148,13 +148,11 @@ class RunConfig:
             if not (all(map(math.isfinite, (cx, cy, radius))) and radius >= 0):
                 raise ConfigError(f"circle spec needs finite cx, cy and r >= 0, got {spec!r}")
             return occupancy.circle_nodes(self.side_count, cx, cy, radius)
-        try:
-            ids = tuple(spec)
-        except TypeError as exc:
-            raise ConfigError(f"features must be node ids or a circle tag, got {spec!r}") from exc
-        if not all(_is_int(s) for s in ids):
-            raise ConfigError(f"features must be node ids or a circle tag, got {spec!r}")
-        nodes = tuple(int(s) for s in ids)
+        # like snapshot_steps, a tuple or a list: validate must not consume an iterator
+        if not isinstance(spec, (tuple, list)) or not all(_is_int(s) for s in spec):
+            raise ConfigError(f"features must be a tuple or list of node ids or a circle "
+                              f"tag, got {spec!r}")
+        nodes = tuple(int(s) for s in spec)
         node_count = self.side_count * self.side_count
         bad = [s for s in nodes if not 1 <= s <= node_count]
         if bad:
@@ -183,7 +181,6 @@ class SharedParts(NamedTuple):
     grid: spatial.SpatialGrid
     field: occupancy.FeatureField
     transition: np.ndarray
-    off_field: np.ndarray
     choices: tuple
     counts: tuple
 
@@ -195,13 +192,49 @@ def _shared_parts(side_count, spacing, level, features: frozenset) -> SharedPart
     configuration's parts (134 MB on 64x64) alive until the next is built."""
     grid = spatial.build_grid(side_count, spacing)
     field = RunConfig(side_count=side_count, spacing=spacing, level=level,
-                      features=features).feature_field()
-    off_field = ~field.mask
-    off_field.flags.writeable = False
+                      features=tuple(sorted(features))).feature_field()
     choices = tuple(map(tuple, grid.choices.tolist()))
     counts = (0, *(grid.degrees + 1).tolist())
-    return SharedParts(grid, field, spatial.build_transition_matrix(grid), off_field,
-                       choices, counts)
+    return SharedParts(grid, field, spatial.build_transition_matrix(grid), choices, counts)
+
+
+def _plan(config: RunConfig, parts: SharedParts, positions, streams, masks):
+    """Yield (positions, planned sensings, meets) for every tick of a run.
+
+    A robot's walk depends only on its own stream and the grid, so the walks
+    are planned PLAN_TICKS ticks at a time, each block when its first tick is
+    needed, from the last planned nodes. A planned sensing is a (robot,
+    column) landing on a feature the robot did not know in masks, the run's
+    own array, when the block was planned; masks only grow, so this finds
+    every sensing, but fusion may teach the feature before the landing.
+    meets says whether two robots can hear each other: in consensus mode,
+    two robots share a node, or with a comm_radius of at least the grid
+    spacing, always. It holds no World, so the World that holds it is freed
+    by reference counting alone.
+    """
+    choices, counts = parts.choices, parts.counts
+    robots = np.arange(len(streams))
+    while True:
+        walks = []
+        for node, stream in zip(positions.tolist(), streams):
+            walks.append([(node := choices[node][int(u * counts[node])])
+                          for u in stream.take(PLAN_TICKS).tolist()])
+        plan = np.array(walks, dtype=np.int64).T.copy()
+        landing = plan - 1
+        ticks, who = np.nonzero(parts.field.mask[landing] & ~masks[robots, landing])
+        senses = [[] for _ in range(PLAN_TICKS)]
+        for t, a, col in zip(ticks.tolist(), who.tolist(), landing[ticks, who].tolist()):
+            senses[t].append((a, col))
+        if config.mode != "consensus" or len(streams) < 2:
+            meets = [False] * PLAN_TICKS
+        elif config.comm_radius < parts.grid.spacing:
+            nodes = np.sort(landing, axis=1)
+            meets = (nodes[:, 1:] == nodes[:, :-1]).any(axis=1).tolist()
+        else:
+            # a wider radius leaves the in-range test to build_comm_graph
+            meets = [True] * PLAN_TICKS
+        yield from zip(plan, senses, meets)
+        positions = plan[-1]
 
 
 def build_comm_graph(positions, grid: spatial.SpatialGrid, comm_radius: float):
@@ -282,25 +315,21 @@ class RunTrace:
 
 
 class World:
-    """Mutable state of one run; robots live in flat arrays for speed. The
-    grid, the feature field, the transition matrix and the walk tables are
-    the config's SharedParts, which every World of that config reads.
+    """Mutable state of one run: robot positions, occupancy masks, random
+    streams, opinions and distances, in flat arrays for speed. The grid and
+    the feature field are the config's SharedParts, which every World of
+    that config reads.
 
-    A robot's walk depends only on its own stream and the grid, so World
-    plans every robot's positions for a block of ticks at once and marks the
-    ticks where something can happen: a robot lands on a feature it did not
-    know when the block was planned (masks only grow, so this finds every
-    sensing), or, in consensus mode, two robots share a node. With a
-    comm_radius of at least the grid spacing every consensus tick is an
-    event tick. Every other tick only moves the robots to their planned
-    nodes.
+    Each tick moves the robots to the nodes _plan planned for it; a tick
+    with a planned sensing or, in consensus mode, a possible meeting is an
+    event tick, which senses and fuses. Every other tick only moves.
     """
 
     def __init__(self, config: RunConfig, positions, masks, streams):
         """positions holds each robot's 1-based start node and masks its (N, S)
         starting occupancy masks, both in robot-id order; both are copied. The
-        grid, the feature field, the transition matrix and the walk tables come
-        from config.shared_parts(), built once per configuration and process;
+        grid, the feature field and the walk tables come from
+        config.shared_parts(), built once per configuration and process;
         positions, masks, streams, opinions and distances are this run's own."""
         count = config.robot_count
         parts = config.shared_parts()
@@ -315,21 +344,15 @@ class World:
         if self.masks.shape != (count, grid.node_count):
             raise ConfigError(f"masks must have shape ({count}, {grid.node_count})")
         self.config = config
-        self.transition = parts.transition
         self.streams = list(streams)
-        self._off_field = parts.off_field
-        if (self.masks & self._off_field).any():
+        if (self.masks > self.field.mask).any():
             # sensing marks features only, so only fusion can break this later
             raise ConfigError("robot beliefs must mark feature nodes only")
         self.k = 0
-        self._robots = np.arange(count)
         self._opinions = occupancy.pmf_rows(self.masks, config.level)
         self.dh = hellinger_batch(self._opinions, self.field.f_ref)
         self.dh.flags.writeable = False
-        self._choices, self._counts = parts.choices, parts.counts
-        self._plan = np.empty((0, len(self.positions)), dtype=np.int64)
-        self._senses = self._meets = []
-        self._cursor = 0
+        self._ticks = _plan(config, parts, self.positions, self.streams, self.masks)
 
     @classmethod
     def from_config(cls, config: RunConfig) -> "World":
@@ -351,46 +374,13 @@ class World:
         The returned row is read-only and is the same object on later ticks
         until some robot's distance changes.
         """
-        if self._cursor == len(self._plan):
-            self._plan_block()
-        t = self._cursor
-        self._cursor += 1
-        step_ = self.k + 1
-        self.positions = self._plan[t]
-        if self._senses[t] or self._meets[t]:
-            self._event_tick(step_, self._senses[t], self._meets[t])
-        self.k = step_
+        self.positions, senses, meets = next(self._ticks)
+        self.k += 1
+        if senses or meets:
+            self._event_tick(senses, meets)
         return self.dh
 
-    def _plan_block(self) -> None:
-        """Plan the next block of positions and find its event ticks.
-
-        A planned sensing is a (robot, node) landing on a feature the robot
-        did not know at planning time; fusion may teach it the feature
-        before it lands, so the event tick checks again.
-        """
-        choices, counts = self._choices, self._counts
-        walks = []
-        for node, stream in zip(self.positions.tolist(), self.streams):
-            walks.append([(node := choices[node][int(u * counts[node])])
-                          for u in stream.take(PLAN_TICKS).tolist()])
-        self._plan = np.array(walks, dtype=np.int64).T.copy()
-        landing = self._plan - 1
-        ticks, robots = np.nonzero(self.field.mask[landing] & ~self.masks[self._robots, landing])
-        self._senses = [[] for _ in range(PLAN_TICKS)]
-        for t, a, col in zip(ticks.tolist(), robots.tolist(), landing[ticks, robots].tolist()):
-            self._senses[t].append((a, col))
-        if self.config.mode != "consensus" or len(self.positions) < 2:
-            self._meets = [False] * PLAN_TICKS
-        elif self.config.comm_radius < self.grid.spacing:
-            nodes = np.sort(landing, axis=1)
-            self._meets = (nodes[:, 1:] == nodes[:, :-1]).any(axis=1).tolist()
-        else:
-            # a wider radius leaves the in-range test to build_comm_graph
-            self._meets = [True] * PLAN_TICKS
-        self._cursor = 0
-
-    def _event_tick(self, step_: int, senses: list, meets: bool) -> None:
+    def _event_tick(self, senses: list, meets: bool) -> None:
         """Sense at the planned new features, then fuse every encounter group."""
         masks = self.masks
         changed = []
@@ -405,11 +395,11 @@ class World:
                 self.positions, self.grid, self.config.comm_radius
             )
             for _, members in groups:
-                changed += self._fuse_group(neighbor_sets, members, step_)
+                changed += self._fuse_group(neighbor_sets, members)
         if changed:
-            self._refresh_distances(sorted(set(changed)), step_)
+            self._refresh_distances(sorted(set(changed)))
 
-    def _fuse_group(self, neighbor_sets: dict, members: tuple, step_: int) -> list:
+    def _fuse_group(self, neighbor_sets: dict, members: tuple) -> list:
         """Chernoff-fuse one encounter group simultaneously; returns the
         indices of the robots whose opinion may have changed.
 
@@ -441,11 +431,11 @@ class World:
         merged = masks | (fused > self.field.f_nom)
         grew = [i for i, g in zip(idx, (merged != masks).any(axis=1)) if g]
         if grew:
-            outside = (merged & self._off_field).any(axis=1)
+            outside = (merged > self.field.mask).any(axis=1)
             if outside.any():
                 raise EngineInvariantError(
                     f"robot {members[int(np.argmax(outside))]} marked a node outside the "
-                    f"feature set (seed={self.config.seed}, step={step_})"
+                    f"feature set (seed={self.config.seed}, step={self.k})"
                 )
             self.masks[idx] = merged
         keep_fused = self.config.carry == "chernoff"
@@ -455,7 +445,7 @@ class World:
             self._opinions[grew] = occupancy.pmf_rows(self.masks[grew], self.config.level)
         return idx if keep_fused else grew
 
-    def _refresh_distances(self, indices: list, step_: int) -> None:
+    def _refresh_distances(self, indices: list) -> None:
         new = hellinger_batch(self._opinions[indices], self.field.f_ref)
         if self.config.carry == "occupancy":
             rose = new > self.dh[indices] + MONOTONE_SLACK
@@ -463,7 +453,7 @@ class World:
                 j = int(np.argmax(rose))
                 raise EngineInvariantError(
                     f"robot {indices[j] + 1} distance rose from {self.dh[indices[j]]} to "
-                    f"{new[j]} (seed={self.config.seed}, step={step_})"
+                    f"{new[j]} (seed={self.config.seed}, step={self.k})"
                 )
         row = self.dh.copy()
         row[indices] = new

@@ -49,7 +49,9 @@ def _execute_run(args) -> RunTrace:
     return run(dataclasses.replace(config, seed=seed))
 
 
-def _check_runs_and_workers(runs, workers) -> None:
+def _check_runs_and_workers(runs, workers, master_seed) -> None:
+    if not _is_int(master_seed) or master_seed < 0:
+        raise ConfigError(f"master_seed must be a non-negative integer, got {master_seed!r}")
     if not _is_int(runs) or runs < 1:
         raise ConfigError(f"runs must be a positive integer, got {runs!r}")
     if not _is_int(workers) or workers < 1:
@@ -74,7 +76,7 @@ def run_batch(config: RunConfig, runs: int, master_seed: int, workers: int = 1, 
     ``pool``, or onto a pool of their own. A run that trips an internal
     invariant aborts the batch; the offending seed is part of the message.
     """
-    _check_runs_and_workers(runs, workers)
+    _check_runs_and_workers(runs, workers, master_seed)
     config.validate()
     jobs = [(config, derive_run_seed(master_seed, i)) for i in range(runs)]
     if workers == 1:
@@ -147,7 +149,7 @@ def run_sweep(config: RunConfig, robot_counts, modes, runs: int, master_seed: in
     no-consensus comparison; with ``workers > 1`` one pool serves them all.
     Every block is checked before the first run starts.
     Returns (McSummary, {(mode, n): traces})."""
-    _check_runs_and_workers(runs, workers)
+    _check_runs_and_workers(runs, workers, master_seed)
     # a non-integer count reaches RunConfig.validate as it is, and is rejected there
     counts = [int(n) if _is_int(n) else n for n in robot_counts]
     configs = {(mode, n): dataclasses.replace(config, mode=mode, robot_count=n).validate()
@@ -231,7 +233,9 @@ def emit_outputs(traces_by_block, summary: McSummary, out_dir, side_count: int,
         write_pmf_csv(reference_pmf, side_count, rpath, "ref", "ref")
         written.append(rpath)
         spath = out / "summary.json"
-        spath.write_text(json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n")
+        # a numpy scalar in the config (a np.int64 seed or count) is written as its number
+        spath.write_text(json.dumps(summary.as_dict(), indent=2, sort_keys=True,
+                                    default=np.generic.item) + "\n")
         written.append(spath)
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc

@@ -50,7 +50,7 @@ MUTANTS = (
     Mutant(
         "plan wide-radius meetings as co-located only",
         "src/gridfusion/engine.py",
-        "elif self.config.comm_radius < self.grid.spacing:",
+        "elif config.comm_radius < parts.grid.spacing:",
         "elif True:",
         ("tests/test_engine_differential.py",),
     ),
@@ -64,9 +64,23 @@ MUTANTS = (
     Mutant(
         "sense a planned landing one tick after it (the last tick of a block on time)",
         "src/gridfusion/engine.py",
-        "self._senses[t].append((a, col))",
-        "self._senses[min(t + 1, PLAN_TICKS - 1)].append((a, col))",
+        "senses[t].append((a, col))",
+        "senses[min(t + 1, PLAN_TICKS - 1)].append((a, col))",
         ("tests/test_mean_distance_curve.py::test_no_consensus_mean_rows_match_the_exact_curve",),
+    ),
+    Mutant(
+        "sense a planned landing on a feature fusion taught the robot since planning",
+        "src/gridfusion/engine.py",
+        "if not masks[a, col]:",
+        "if True:",
+        ("tests/test_engine_differential.py",),
+    ),
+    Mutant(
+        "plan every block from the start nodes",
+        "src/gridfusion/engine.py",
+        "positions = plan[-1]",
+        "pass",
+        ("tests/test_engine_reference.py::test_engine_matches_reference_across_uniform_blocks",),
     ),
     Mutant(
         "drop the grown-row refresh after a merge",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gridfusion import fusion, occupancy
 from gridfusion.engine import (
     DEFAULT_FEATURES,
+    PLAN_TICKS,
     RunConfig,
     World,
     build_comm_graph,
@@ -75,6 +76,11 @@ def test_config_rejects_bad_fields():
         dict(features="circle:4,5,inf"),
         dict(features="circle:4,5,nan"),
         dict(features="circle:-inf,5,2"),
+        # only a tuple or a list of ids: validate must not consume an iterator
+        dict(features=iter(DEFAULT_FEATURES)),
+        dict(features=np.array(DEFAULT_FEATURES)),
+        dict(features=range(19, 22)),
+        dict(features={}),
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):
@@ -253,7 +259,7 @@ def chernoff_fuse_calls(monkeypatch, positions, comm_radius):
     calls = []
     real = fusion.chernoff_fuse
     monkeypatch.setattr(fusion, "chernoff_fuse", lambda pairs: calls.append(1) or real(pairs))
-    world._fuse_group(neighbor_sets, members, 1)
+    world._fuse_group(neighbor_sets, members)
     return len(calls)
 
 
@@ -509,7 +515,8 @@ SHARED_BASE = RunConfig(side_count=6, spacing=0.5, level=0.9, features="circle:3
 
 
 def shared(world):
-    return world.grid, world.field, world.transition, world._choices, world._counts
+    parts = world.config.shared_parts()
+    return world.grid, world.field, parts.transition, parts.choices, parts.counts
 
 
 @pytest.mark.parametrize("change", [
@@ -528,29 +535,45 @@ def test_worlds_differing_only_per_run_share_their_parts(change):
     dict(side_count=7), dict(spacing=0.6), dict(level=0.85), dict(features="circle:4,4,1"),
 ], ids=lambda change: next(iter(change)))
 def test_a_grid_level_or_feature_change_gives_new_parts(change):
-    first = World.from_config(SHARED_BASE)
+    # read before the other World's parts replace them in the cache
+    first = shared(World.from_config(SHARED_BASE))
     other = World.from_config(dataclasses.replace(SHARED_BASE, **change))
-    assert not any(a is b for a, b in zip(shared(first), shared(other)))
+    assert not any(a is b for a, b in zip(first, shared(other)))
     assert other.grid.spacing == other.config.spacing and other.field.level == other.config.level
 
 
 def test_shared_parts_are_read_only():
     world = World.from_config(SHARED_BASE)
-    grid, field = world.grid, world.field
-    arrays = (world.transition, world._off_field, grid.choices, grid.degrees, grid.coordinates,
+    grid, field, parts = world.grid, world.field, world.config.shared_parts()
+    arrays = (parts.transition, grid.choices, grid.degrees, grid.coordinates,
               field.mask, field.f_ref, field.f_nom)
     assert not any(a.flags.writeable for a in arrays)
-    assert type(world._counts) is tuple and type(world._choices) is tuple
-    assert all(type(row) is tuple for row in world._choices)
+    assert type(parts.counts) is tuple and type(parts.choices) is tuple
+    assert all(type(row) is tuple for row in parts.choices)
 
 
 def test_shared_parts_keep_one_configuration_alive():
     config_a = RunConfig(side_count=5, spacing=0.5, features=(7, 13))
     first = World.from_config(config_a)
-    transition = weakref.ref(first.transition)
+    transition = weakref.ref(first.config.shared_parts().transition)
     again = World.from_config(dataclasses.replace(config_a, seed=1))
-    assert again.transition is first.transition
+    assert again.config.shared_parts().transition is transition()
     del first, again
     World.from_config(dataclasses.replace(config_a, side_count=6))
     gc.collect()
     assert transition() is None
+
+
+def test_a_dropped_world_is_freed_without_the_cyclic_gc():
+    # a walk planner that referenced its World would make a cycle, and every
+    # finished run's World would then wait for the cyclic collector
+    gc.disable()
+    try:
+        world = World.from_config(RunConfig(seed=3))
+        for _ in range(PLAN_TICKS + 1):
+            world.tick()
+        freed = weakref.ref(world)
+        del world
+        assert freed() is None
+    finally:
+        gc.enable()

@@ -110,6 +110,11 @@ def test_sweep_checks_every_block_before_its_first_run(pools_started, monkeypatc
     assert pools_started == []
     with pytest.raises(ConfigError, match="runs"):
         run_sweep(config, [4], ["consensus"], 0, 0, workers=2)
+    for seed in (-1, 1.5, "3", True):
+        with pytest.raises(ConfigError, match="master_seed"):
+            run_sweep(config, [4], ["consensus"], 3, seed, workers=2)
+        with pytest.raises(ConfigError, match="master_seed"):
+            run_batch(config, 3, seed, workers=2)
     assert pools_started == []
     # an empty sweep has no block to run
     for counts, modes in (([], ["consensus"]), ([4], [])):
@@ -258,6 +263,21 @@ def test_emit_outputs_layout(tmp_path):
     assert doc["format"] == "gridfusion-summary/1"
     assert doc["blocks"][0]["robot_count"] == 2
     assert doc["step_seconds"] == 1.0
+
+
+def test_numpy_config_values_write_the_same_summary(tmp_path):
+    def summary_bytes(out, config, counts, master_seed):
+        summary, traces = run_sweep(config, counts, ["consensus"], runs=2,
+                                    master_seed=master_seed)
+        emit_outputs(traces, summary, out, 8, reference_pmf=np.full(64, 1 / 64))
+        return (out / "summary.json").read_bytes()
+
+    plain = tiny_config(side_count=8, features=DEFAULT_FEATURES, max_steps=50)
+    numpy_typed = dataclasses.replace(
+        plain, side_count=np.int64(8), max_steps=np.int64(50), spacing=np.float64(0.7),
+        features=tuple(np.int64(s) for s in DEFAULT_FEATURES))
+    expected = summary_bytes(tmp_path / "plain", plain, [2], 8)
+    assert summary_bytes(tmp_path / "numpy", numpy_typed, [np.int64(2)], np.int64(8)) == expected
 
 
 def test_summary_statistics_match_emitted_traces(tmp_path):
