@@ -32,7 +32,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--comm-radius", type=float,
                    help="communication radius in meters (default 0: same node)")
     p.add_argument("--snapshot-steps", type=str,
-                   help="comma-separated steps at which to save PMF snapshots")
+                   help="comma-separated steps at which to save PMF snapshots; "
+                        "a step after the run ends saves none")
     p.add_argument("--step-seconds", type=float, help="simulated seconds per step")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 

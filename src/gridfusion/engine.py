@@ -43,8 +43,29 @@ MONOTONE_SLACK = 1e-12
 
 # _plan plans every robot's walk in blocks of this many ticks, each planned
 # only when the next tick needs it, so a run draws at most PLAN_TICKS - 1
-# uniforms per robot past its end.
-PLAN_TICKS = 32
+# uniforms per robot past its end. Each block pays a fixed cost in numpy
+# calls, so longer blocks spread it over more ticks.
+PLAN_TICKS = 128
+
+# A step picks entry int(u * c) of a node's c choices, and every node has 1,
+# 3, 4 or 5 (the node and its d lattice neighbours). For u in [0, 1) the
+# floors of 3u, 4u and 5u take only these ten triples, one per interval
+# between the breakpoints j/c, so a triple's index, the step key, fixes the
+# pick for every c. _STEP_KEY maps a triple to its key, and _PICK[c][key] is
+# the entry a key picks from c choices (row 0 serves grid.choices' padding
+# row, and no node has 2 choices).
+_TRIPLES = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2),
+            (1, 2, 2), (1, 2, 3), (2, 2, 3), (2, 3, 3), (2, 3, 4))
+_STEP_KEY = np.zeros((3, 4, 5), dtype=np.intp)
+_STEP_KEY[tuple(np.array(_TRIPLES).T)] = np.arange(len(_TRIPLES))
+_PICK = np.zeros((6, len(_TRIPLES)), dtype=np.intp)
+_PICK[3:] = np.array(_TRIPLES).T
+
+
+def _step_keys(u: np.ndarray) -> np.ndarray:
+    """The step key of every uniform, from the same products u * c that a
+    step truncates."""
+    return _STEP_KEY[(u * 3).astype(np.intp), (u * 4).astype(np.intp), (u * 5).astype(np.intp)]
 
 
 @dataclass(frozen=True)
@@ -175,14 +196,14 @@ class RunConfig:
 
 class SharedParts(NamedTuple):
     """What every World of one grid, level and feature set reads and no run
-    writes. Every array is read-only; choices (grid.choices) and counts (the
-    choice count per node, 0 first) are the walk tables as tuples."""
+    writes. Every array is read-only; walk is the step table as tuples:
+    walk[node][key] is the node a step with that step key moves to, and
+    equals grid.choices[node][int(u * (d + 1))] for every u of the key."""
 
     grid: spatial.SpatialGrid
     field: occupancy.FeatureField
     transition: np.ndarray
-    choices: tuple
-    counts: tuple
+    walk: tuple
 
 
 @lru_cache(maxsize=1)
@@ -193,9 +214,10 @@ def _shared_parts(side_count, spacing, level, features: frozenset) -> SharedPart
     grid = spatial.build_grid(side_count, spacing)
     field = RunConfig(side_count=side_count, spacing=spacing, level=level,
                       features=tuple(sorted(features))).feature_field()
-    choices = tuple(map(tuple, grid.choices.tolist()))
-    counts = (0, *(grid.degrees + 1).tolist())
-    return SharedParts(grid, field, spatial.build_transition_matrix(grid), choices, counts)
+    counts = np.concatenate(([0], grid.degrees + 1))
+    walk = np.take_along_axis(grid.choices, _PICK[counts], axis=1)
+    return SharedParts(grid, field, spatial.build_transition_matrix(grid),
+                       tuple(map(tuple, walk.tolist())))
 
 
 def _plan(config: RunConfig, parts: SharedParts, positions, streams, masks):
@@ -203,22 +225,24 @@ def _plan(config: RunConfig, parts: SharedParts, positions, streams, masks):
 
     A robot's walk depends only on its own stream and the grid, so the walks
     are planned PLAN_TICKS ticks at a time, each block when its first tick is
-    needed, from the last planned nodes. A planned sensing is a (robot,
-    column) landing on a feature the robot did not know in masks, the run's
-    own array, when the block was planned; masks only grow, so this finds
-    every sensing, but fusion may teach the feature before the landing.
+    needed, from the last planned nodes: numpy turns the block's uniforms
+    into step keys, and each step is one lookup in parts.walk. A planned
+    sensing is a (robot, column) landing on a feature the robot did not know
+    in masks, the run's own array, when the block was planned; masks only
+    grow, so this finds every sensing, but fusion may teach the feature
+    before the landing.
     meets says whether two robots can hear each other: in consensus mode,
     two robots share a node, or with a comm_radius of at least the grid
     spacing, always. It holds no World, so the World that holds it is freed
     by reference counting alone.
     """
-    choices, counts = parts.choices, parts.counts
+    walk = parts.walk
     robots = np.arange(len(streams))
     while True:
+        keys = _step_keys(np.array([stream.take(PLAN_TICKS) for stream in streams]))
         walks = []
-        for node, stream in zip(positions.tolist(), streams):
-            walks.append([(node := choices[node][int(u * counts[node])])
-                          for u in stream.take(PLAN_TICKS).tolist()])
+        for node, row in zip(positions.tolist(), keys.tolist()):
+            walks.append([(node := walk[node][key]) for key in row])
         plan = np.array(walks, dtype=np.int64).T.copy()
         landing = plan - 1
         ticks, who = np.nonzero(parts.field.mask[landing] & ~masks[robots, landing])
@@ -328,7 +352,7 @@ class World:
     def __init__(self, config: RunConfig, positions, masks, streams):
         """positions holds each robot's 1-based start node and masks its (N, S)
         starting occupancy masks, both in robot-id order; both are copied. The
-        grid, the feature field and the walk tables come from
+        grid, the feature field and the walk table come from
         config.shared_parts(), built once per configuration and process;
         positions, masks, streams, opinions and distances are this run's own."""
         count = config.robot_count

@@ -152,6 +152,13 @@ MUTANTS = (
         "@lru_cache(maxsize=None)",
         ("tests/test_engine.py::test_shared_parts_keep_one_configuration_alive",),
     ),
+    Mutant(
+        "give the step-key table a wrong top triple",
+        "src/gridfusion/engine.py",
+        "(2, 3, 4))",
+        "(2, 3, 3))",
+        ("tests/test_engine.py::test_walk_table_matches_the_floor_rule",),
+    ),
 )
 
 

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from gridfusion import fusion, occupancy
 from gridfusion.engine import (
+    _TRIPLES,
     DEFAULT_FEATURES,
     PLAN_TICKS,
     RunConfig,
     World,
+    _step_keys,
     build_comm_graph,
     run,
 )
@@ -516,7 +518,7 @@ SHARED_BASE = RunConfig(side_count=6, spacing=0.5, level=0.9, features="circle:3
 
 def shared(world):
     parts = world.config.shared_parts()
-    return world.grid, world.field, parts.transition, parts.choices, parts.counts
+    return world.grid, world.field, parts.transition, parts.walk
 
 
 @pytest.mark.parametrize("change", [
@@ -548,8 +550,26 @@ def test_shared_parts_are_read_only():
     arrays = (parts.transition, grid.choices, grid.degrees, grid.coordinates,
               field.mask, field.f_ref, field.f_nom)
     assert not any(a.flags.writeable for a in arrays)
-    assert type(parts.counts) is tuple and type(parts.choices) is tuple
-    assert all(type(row) is tuple for row in parts.choices)
+    assert type(parts.walk) is tuple
+    assert all(type(row) is tuple for row in parts.walk)
+
+
+def test_walk_table_matches_the_floor_rule():
+    # u = 0, every breakpoint j/c with its two float neighbours, the largest
+    # double below 1, and seeded uniforms
+    marks = np.array([j / c for c in (3, 4, 5) for j in range(1, c)])
+    us = np.concatenate([[0.0], marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0),
+                         [np.nextafter(1.0, 0.0)], np.random.default_rng(20).random(10_000)])
+    triples = {(int(u * 3), int(u * 4), int(u * 5)) for u in us.tolist()}
+    assert sorted(triples) == list(_TRIPLES)
+    keys = _step_keys(us)
+    picks = {c: [int(u * c) for u in us.tolist()] for c in (1, 3, 4, 5)}
+    for side in range(1, 10):
+        parts = RunConfig(side_count=side, features=()).shared_parts()
+        choices, degrees = parts.grid.choices, parts.grid.degrees
+        for node in range(1, side * side + 1):
+            expected = choices[node][picks[degrees[node - 1] + 1]]
+            assert np.array_equal(np.array(parts.walk[node])[keys], expected)
 
 
 def test_shared_parts_keep_one_configuration_alive():
