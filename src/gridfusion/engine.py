@@ -5,7 +5,8 @@ the landing node, rebuilds the encounter graph from the new positions, and
 (in consensus mode) lets every robot with neighbors fuse opinions and merge
 the thresholded result into its occupancy vector. All fusion updates within a
 tick read pre-fusion beliefs and are applied simultaneously, so robot
-numbering cannot change the outcome.
+numbering cannot change the outcome. Most steps hold no meeting, so run
+moves through each stretch between meetings with one distance batch.
 
 Every robot's opinion PMF is one row of an (N, S) array, refreshed from its
 occupancy vector whenever sensing or a merge changes that vector. The two
@@ -13,9 +14,10 @@ carry modes differ in one rule. In the canonical "occupancy" mode an
 uninformative fusion leaves the row alone, so every row stays its mask's PMF
 and a robot's Hellinger distance to the reference depends only on how many
 features it knows; RunConfig.validate rejects the dense maps on which that
-distance can rise, so it never rises in a run. The "chernoff" mode keeps the
-raw fused row after an uninformative fusion; it reproduces the small
-distance bumps that raw fusion arithmetic causes and is kept for comparison.
+distance can rise, and run checks that it never rises. The "chernoff"
+mode keeps the raw fused row after an uninformative fusion; it reproduces
+the small distance bumps that raw fusion arithmetic causes and is kept for
+comparison.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ MONOTONE_SLACK = 1e-12
 # uniforms per robot past its end. Each block pays a fixed cost in numpy
 # calls, so longer blocks spread it over more ticks.
 PLAN_TICKS = 128
+
+# A quiet stretch that has stacked this many mask entries ends before its next
+# landing step, which keeps its float temporaries near 128 KiB each.
+STACK_FLOATS = 1 << 14
 
 # A step picks entry int(u * c) of a node's c choices, and every node has 1,
 # 3, 4 or 5 (the node and its d lattice neighbours). For u in [0, 1) the
@@ -221,23 +227,25 @@ def _shared_parts(side_count, spacing, level, features: frozenset) -> SharedPart
 
 
 def _plan(config: RunConfig, parts: SharedParts, positions, streams, masks):
-    """Yield (positions, planned sensings, meets) for every tick of a run.
+    """Yield (first, plan, landings, meetings) for every block of a run.
 
     A robot's walk depends only on its own stream and the grid, so the walks
     are planned PLAN_TICKS ticks at a time, each block when its first tick is
     needed, from the last planned nodes: numpy turns the block's uniforms
-    into step keys, and each step is one lookup in parts.walk. A planned
-    sensing is a (robot, column) landing on a feature the robot did not know
-    in masks, the run's own array, when the block was planned; masks only
-    grow, so this finds every sensing, but fusion may teach the feature
-    before the landing.
-    meets says whether two robots can hear each other: in consensus mode,
-    two robots share a node, or with a comm_radius of at least the grid
-    spacing, always. It holds no World, so the World that holds it is freed
-    by reference counting alone.
+    into step keys, and each step is one lookup in parts.walk. Row i of plan
+    holds every robot's node at step first + i. landings lists (step, robot,
+    column) for every landing on a feature the robot did not know in masks,
+    the run's own array, when the block was planned; masks only grow, so
+    this finds every sensing, but an earlier landing or a fusion may teach
+    the feature first. meetings lists the steps at which two robots can hear
+    each other: in consensus mode, two robots share a node, or with a
+    comm_radius of at least the grid spacing, always. Both lists run latest
+    first, so that the next is popped off the end. It holds no World, so the
+    World that holds it is freed by reference counting alone.
     """
     walk = parts.walk
     robots = np.arange(len(streams))
+    first = 1
     while True:
         keys = _step_keys(np.array([stream.take(PLAN_TICKS) for stream in streams]))
         walks = []
@@ -246,19 +254,18 @@ def _plan(config: RunConfig, parts: SharedParts, positions, streams, masks):
         plan = np.array(walks, dtype=np.int64).T.copy()
         landing = plan - 1
         ticks, who = np.nonzero(parts.field.mask[landing] & ~masks[robots, landing])
-        senses = [[] for _ in range(PLAN_TICKS)]
-        for t, a, col in zip(ticks.tolist(), who.tolist(), landing[ticks, who].tolist()):
-            senses[t].append((a, col))
+        landings = list(zip((ticks + first).tolist(), who.tolist(), landing[ticks, who].tolist()))
         if config.mode != "consensus" or len(streams) < 2:
-            meets = [False] * PLAN_TICKS
+            meets = np.zeros(PLAN_TICKS, dtype=bool)
         elif config.comm_radius < parts.grid.spacing:
             nodes = np.sort(landing, axis=1)
-            meets = (nodes[:, 1:] == nodes[:, :-1]).any(axis=1).tolist()
+            meets = (nodes[:, 1:] == nodes[:, :-1]).any(axis=1)
         else:
             # a wider radius leaves the in-range test to build_comm_graph
-            meets = [True] * PLAN_TICKS
-        yield from zip(plan, senses, meets)
+            meets = np.ones(PLAN_TICKS, dtype=bool)
+        yield first, plan, landings[::-1], (np.flatnonzero(meets)[::-1] + first).tolist()
         positions = plan[-1]
+        first += PLAN_TICKS
 
 
 def build_comm_graph(positions, grid: spatial.SpatialGrid, comm_radius: float):
@@ -344,9 +351,9 @@ class World:
     the feature field are the config's SharedParts, which every World of
     that config reads.
 
-    Each tick moves the robots to the nodes _plan planned for it; a tick
-    with a planned sensing or, in consensus mode, a possible meeting is an
-    event tick, which senses and fuses. Every other tick only moves.
+    tick() is a one-tick view of the block _plan planned: it moves the
+    robots and, on a step with a landing or a meeting, senses and fuses.
+    _quiet moves through the steps before the next meeting in one go.
     """
 
     def __init__(self, config: RunConfig, positions, masks, streams):
@@ -376,7 +383,9 @@ class World:
         self._opinions = occupancy.pmf_rows(self.masks, config.level)
         self.dh = hellinger_batch(self._opinions, self.field.f_ref)
         self.dh.flags.writeable = False
-        self._ticks = _plan(config, parts, self.positions, self.streams, self.masks)
+        self._blocks = _plan(config, parts, self.positions, self.streams, self.masks)
+        # the block that holds step k + 1, which starts at step _first
+        self._first, self._plan, self._landings, self._meetings = 1 - PLAN_TICKS, None, [], []
 
     @classmethod
     def from_config(cls, config: RunConfig) -> "World":
@@ -398,16 +407,73 @@ class World:
         The returned row is read-only and is the same object on later ticks
         until some robot's distance changes.
         """
-        self.positions, senses, meets = next(self._ticks)
-        self.k += 1
+        step = self.k + 1
+        if step == self._first + PLAN_TICKS:
+            self._first, self._plan, self._landings, self._meetings = next(self._blocks)
+        self.positions, self.k = self._plan[step - self._first], step
+        senses = []
+        while self._landings and self._landings[-1][0] == step:
+            senses.append(self._landings.pop()[1:])
+        meets = step in self._meetings[-1:]
+        if meets:
+            self._meetings.pop()
         if senses or meets:
             self._event_tick(senses, meets)
         return self.dh
 
+    def _quiet(self, limit: int, eps: float, steps: list, rows: list) -> None:
+        """Move through the steps after k up to limit, the block's end or the
+        step before its next meeting, sensing at each robot's first landing on
+        a feature it does not know. One pmf_rows and hellinger_batch call on
+        the stacked masks gives every landing's distance, bitwise as tick()
+        would, and each step with a landing adds a change point; a stack of
+        STACK_FLOATS entries ends the stretch before its next landing step. At
+        the first step with every distance below eps it stops, undoing the
+        later landings."""
+        if self.k + 1 == self._first + PLAN_TICKS:
+            self._first, self._plan, self._landings, self._meetings = next(self._blocks)
+        end = min(limit, self._first + PLAN_TICKS - 1)
+        if self._meetings:
+            end = min(end, self._meetings[-1] - 1)
+            if end == self.k:  # step k + 1 is a meeting
+                return
+        masks, landed, stack = self.masks, [], []
+        while self._landings and self._landings[-1][0] <= end:
+            step, a, col = self._landings[-1]
+            if len(stack) * masks.shape[1] >= STACK_FLOATS and step > landed[-1][0]:
+                end = step - 1
+                break
+            self._landings.pop()
+            if not masks[a, col]:  # a first landing, and fusion did not teach it since planning
+                masks[a, col] = True
+                landed.append((step, a, col))
+                stack.append(masks[a].copy())
+        if landed:
+            pmfs = occupancy.pmf_rows(np.array(stack), self.config.level)
+            new = hellinger_batch(pmfs, self.field.f_ref).tolist()
+            row, table = self.dh.tolist(), []
+            for j, (step, a, _) in enumerate(landed):
+                row[a] = new[j]
+                if j + 1 == len(landed) or landed[j + 1][0] != step:  # the step's last landing
+                    steps.append(step)
+                    table.append(row.copy())
+                    if max(row) < eps:
+                        end = step
+                        break
+            for _, a, col in landed[j + 1:]:  # past the convergence step
+                masks[a, col] = False
+            last = {a: i for i, (_, a, _) in enumerate(landed[:j + 1])}
+            self._opinions[list(last)] = pmfs[list(last.values())]
+            table = np.array(table)
+            table.flags.writeable = False
+            rows += list(table)
+            self.dh = rows[-1]
+        self.k = end
+        self.positions = self._plan[end - self._first]
+
     def _event_tick(self, senses: list, meets: bool) -> None:
         """Sense at the planned new features, then fuse every encounter group."""
-        masks = self.masks
-        changed = []
+        masks, changed = self.masks, []
         for a, col in senses:
             if not masks[a, col]:
                 masks[a, col] = True
@@ -415,13 +481,16 @@ class World:
         if changed:
             self._opinions[changed] = occupancy.pmf_rows(masks[changed], self.config.level)
         if meets:
-            neighbor_sets, groups = build_comm_graph(
-                self.positions, self.grid, self.config.comm_radius
-            )
+            neighbor_sets, groups = build_comm_graph(self.positions, self.grid,
+                                                     self.config.comm_radius)
             for _, members in groups:
                 changed += self._fuse_group(neighbor_sets, members)
         if changed:
-            self._refresh_distances(sorted(set(changed)))
+            indices = sorted(set(changed))
+            row = self.dh.copy()
+            row[indices] = hellinger_batch(self._opinions[indices], self.field.f_ref)
+            row.flags.writeable = False
+            self.dh = row
 
     def _fuse_group(self, neighbor_sets: dict, members: tuple) -> list:
         """Chernoff-fuse one encounter group simultaneously; returns the
@@ -469,28 +538,13 @@ class World:
             self._opinions[grew] = occupancy.pmf_rows(self.masks[grew], self.config.level)
         return idx if keep_fused else grew
 
-    def _refresh_distances(self, indices: list) -> None:
-        new = hellinger_batch(self._opinions[indices], self.field.f_ref)
-        if self.config.carry == "occupancy":
-            rose = new > self.dh[indices] + MONOTONE_SLACK
-            if rose.any():
-                j = int(np.argmax(rose))
-                raise EngineInvariantError(
-                    f"robot {indices[j] + 1} distance rose from {self.dh[indices[j]]} to "
-                    f"{new[j]} (seed={self.config.seed}, step={self.k})"
-                )
-        row = self.dh.copy()
-        row[indices] = new
-        row.flags.writeable = False
-        self.dh = row
-
 
 def run(config: RunConfig) -> RunTrace:
     """Execute one seeded run until all robots converge or max_steps elapses.
 
     The distance record starts at step 0 with the true initial distances
     (nominal vs reference PMF), so the first row is nonzero whenever features
-    exist, and gains a change point on every tick that returns a new row.
+    exist, and gains a change point on every step that changes a distance.
     Fully deterministic given config.seed.
     """
     world = World.from_config(config)
@@ -498,24 +552,30 @@ def run(config: RunConfig) -> RunTrace:
     eps = cfg.epsilon
     snapshot_at = set(int(k) for k in cfg.snapshot_steps)
 
-    steps, rows = [0], [world.dh]
-    convergence_step = 0 if bool(np.all(world.dh < eps)) else None
-    snapshots = {}
-    if 0 in snapshot_at:
-        snapshots[0] = world.opinions()
-
-    while convergence_step is None and world.k < cfg.max_steps:
-        row = world.tick()
-        if row is not rows[-1]:
-            # a shared row means no distance changed, so nothing new converged
-            steps.append(world.k)
-            rows.append(row)
-            if bool(np.all(row < eps)):
-                convergence_step = world.k
+    cuts = snapshot_at | {cfg.max_steps}  # where a quiet stretch must stop
+    steps, rows, snapshots, convergence_step = [0], [world.dh], {}, None
+    while convergence_step is None:
         if world.k in snapshot_at:
             snapshots[world.k] = world.opinions()
+        if steps[-1] == world.k and bool(np.all(rows[-1] < eps)):
+            convergence_step = world.k
+        elif world.k == cfg.max_steps:
+            break
+        elif world.k + 1 in world._meetings[-1:]:
+            row = world.tick()
+            if row is not rows[-1]:  # a shared row means no distance changed
+                steps.append(world.k)
+                rows.append(row)
+        else:
+            world._quiet(min(k for k in cuts if k > world.k), eps, steps, rows)
 
     change_steps, change_rows = np.array(steps), np.array(rows)
+    rose = change_rows[1:] > change_rows[:-1] + MONOTONE_SLACK
+    if cfg.carry == "occupancy" and rose.any():
+        j, a = divmod(int(np.argmax(rose)), rose.shape[1])  # the first rise, by step
+        raise EngineInvariantError(
+            f"robot {a + 1} distance rose from {change_rows[j, a]} to {change_rows[j + 1, a]} "
+            f"(seed={cfg.seed}, step={change_steps[j + 1]})")
     # distances hold between change points, so a robot's first change point
     # below epsilon is its first step below it
     below = change_rows < eps

@@ -64,16 +64,41 @@ MUTANTS = (
     Mutant(
         "sense a planned landing one tick after it (the last tick of a block on time)",
         "src/gridfusion/engine.py",
-        "senses[t].append((a, col))",
-        "senses[min(t + 1, PLAN_TICKS - 1)].append((a, col))",
+        "(ticks + first).tolist()",
+        "(np.minimum(ticks + 1, PLAN_TICKS - 1) + first).tolist()",
         ("tests/test_mean_distance_curve.py::test_no_consensus_mean_rows_match_the_exact_curve",),
     ),
     Mutant(
         "sense a planned landing on a feature fusion taught the robot since planning",
         "src/gridfusion/engine.py",
-        "if not masks[a, col]:",
-        "if True:",
+        "            if not masks[a, col]:\n                masks[a, col] = True\n"
+        "                changed.append(a)",
+        "            if True:\n                masks[a, col] = True\n"
+        "                changed.append(a)",
         ("tests/test_engine_differential.py",),
+    ),
+    Mutant(
+        "drop the first-landing filter in a stretch",
+        "src/gridfusion/engine.py",
+        "if not masks[a, col]:  # a first landing",
+        "if True:  # a first landing",
+        ("tests/test_engine.py::test_a_stretch_senses_a_repeat_landing_once",),
+    ),
+    Mutant(
+        "apply a stretch's landings past its convergence step",
+        "src/gridfusion/engine.py",
+        "            for _, a, col in landed[j + 1:]:  # past the convergence step\n"
+        "                masks[a, col] = False\n"
+        "            last = {a: i for i, (_, a, _) in enumerate(landed[:j + 1])}",
+        "            last = {a: i for i, (_, a, _) in enumerate(landed)}",
+        ("tests/test_engine.py::test_a_stretch_stops_at_convergence_before_a_later_landing",),
+    ),
+    Mutant(
+        "skip the monotone check, the only one a stretch gets",
+        "src/gridfusion/engine.py",
+        'if cfg.carry == "occupancy" and rose.any():',
+        "if False:",
+        ("tests/test_engine.py::test_rising_distance_raises_with_seed_and_step",),
     ),
     Mutant(
         "plan every block from the start nodes",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfusion import fusion, occupancy
+from gridfusion import engine, fusion, occupancy
 from gridfusion.engine import (
     _TRIPLES,
     DEFAULT_FEATURES,
@@ -19,7 +19,7 @@ from gridfusion.engine import (
     build_comm_graph,
     run,
 )
-from gridfusion.errors import ConfigError
+from gridfusion.errors import ConfigError, EngineInvariantError
 from gridfusion.mobility import RngStream
 from gridfusion.occupancy import FeatureField
 from gridfusion.spatial import build_grid
@@ -486,6 +486,122 @@ def test_snapshots_recorded_at_requested_steps():
         assert pmf.shape == (4, 64)
         assert np.abs(pmf.sum(axis=1) - 1.0).max() < 1e-12
     assert np.all(trace.snapshots[0] == 1 / 64)
+
+
+# ---------------------------------------------------------------------------
+# quiet stretches against the tick loop
+
+
+def tick_by_tick(config):
+    """run's record from World.tick called once per step: (world, change
+    steps, change rows, snapshots)."""
+    world = World.from_config(config)
+    snapshot_at = set(config.snapshot_steps)
+    steps, rows, snapshots = [0], [world.dh], {}
+    converged = bool(np.all(world.dh < config.epsilon))
+    if 0 in snapshot_at:
+        snapshots[0] = world.opinions()
+    while not converged and world.k < config.max_steps:
+        row = world.tick()
+        if row is not rows[-1]:
+            steps.append(world.k)
+            rows.append(row)
+            converged = bool(np.all(row < config.epsilon))
+        if world.k in snapshot_at:
+            snapshots[world.k] = world.opinions()
+    return world, steps, rows, snapshots
+
+
+def assert_run_matches_ticks(monkeypatch, config):
+    """run's trace and final World state equal the tick loop's, change points
+    included; returns the tick loop's World."""
+    worlds = []
+    build = World.from_config.__func__
+
+    def keep(cls, cfg):
+        worlds.append(build(cls, cfg))
+        return worlds[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(World, "from_config", classmethod(keep))
+        trace = run(config)
+    world, steps, rows, snapshots = tick_by_tick(config)
+    assert trace.change_steps.tolist() == steps
+    assert trace.change_rows.tobytes() == np.array(rows).tobytes()
+    assert trace.step_count == world.k
+    assert sorted(trace.snapshots) == sorted(snapshots)
+    for k, pmfs in snapshots.items():
+        assert trace.snapshots[k].tobytes() == pmfs.tobytes(), f"snapshot {k}"
+    assert trace.final_pmfs.tobytes() == world.opinions().tobytes()
+    ran = worlds[0]
+    assert ran.k == world.k and ran.positions.tolist() == world.positions.tolist()
+    assert np.array_equal(ran.masks, world.masks)
+    return world
+
+
+def test_a_stretch_stops_at_convergence_before_a_later_landing(monkeypatch):
+    config = RunConfig(robot_count=3, mode="no-consensus", epsilon=0.08, seed=0)
+    world = assert_run_matches_ticks(monkeypatch, config)
+    # the run converges inside a block that plans a later first landing
+    assert world.k < config.max_steps and world.k % PLAN_TICKS
+    assert any(not world.masks[a, col] for _, a, col in world._landings)
+
+
+@pytest.mark.parametrize("config", [
+    # snapshots inside stretches, and max_steps in the middle of a block
+    RunConfig(robot_count=3, mode="no-consensus", seed=4, epsilon=1e-9, max_steps=300,
+              snapshot_steps=(0, 5, 77, 128, 129, 250, 300, 301)),
+    RunConfig(robot_count=6, seed=2, max_steps=3 * PLAN_TICKS + 17, snapshot_steps=(3, 140)),
+    RunConfig(robot_count=5, carry="chernoff", seed=8, max_steps=450, snapshot_steps=(200,)),
+    # consensus with one robot never meets, so it runs on stretches alone
+    RunConfig(robot_count=1, seed=3, snapshot_steps=(60,)),
+    RunConfig(robot_count=1, carry="chernoff", seed=5, epsilon=0.05),
+    # every step is a meeting
+    RunConfig(robot_count=3, comm_radius=1.5, seed=1, max_steps=300),
+], ids=["no-consensus", "consensus", "chernoff", "one-robot", "one-robot-chernoff", "wide"])
+def test_run_matches_the_tick_loop(monkeypatch, config):
+    assert_run_matches_ticks(monkeypatch, config)
+
+
+def test_a_stretch_senses_a_repeat_landing_once(monkeypatch):
+    config = RunConfig(robot_count=2, mode="no-consensus", seed=1, epsilon=1e-9, max_steps=256)
+    assert_run_matches_ticks(monkeypatch, config)
+    # some robot lands again, within the block, on a feature it first found there
+    world = World.from_config(config)
+    found, repeats = {}, 0
+    for _ in range(config.max_steps):
+        block = world.k // PLAN_TICKS
+        before = world.masks.copy()
+        world.tick()
+        for a, col in enumerate((world.positions - 1).tolist()):
+            if world.field.mask[col] and not before[a, col]:
+                found[a, col] = block
+            elif found.get((a, col)) == block:
+                repeats += 1
+    assert repeats
+
+
+@pytest.mark.parametrize("floats", [1, 3 * 64])
+def test_a_full_stack_ends_a_stretch_without_changing_the_run(monkeypatch, floats):
+    monkeypatch.setattr(engine, "STACK_FLOATS", floats)
+    config = RunConfig(robot_count=16, mode="no-consensus", seed=6, max_steps=600,
+                       snapshot_steps=(100,))
+    assert_run_matches_ticks(monkeypatch, config)
+
+
+def test_rising_distance_raises_with_seed_and_step(monkeypatch):
+    # validate rejects this dense map, since a robot's first landing raises
+    # its distance; with that check off, run must catch the rise itself
+    monkeypatch.setattr(RunConfig, "_check_monotone_distance", lambda self, features: None)
+    config = RunConfig(features=tuple(range(1, 25)), mode="no-consensus", seed=4)
+    _, steps, rows, _ = tick_by_tick(config)
+    rose = np.array(rows[1:]) > np.array(rows[:-1]) + 1e-12
+    first = int(np.flatnonzero(rose.any(axis=1))[0])
+    robot = int(np.argmax(rose[first])) + 1
+    with pytest.raises(EngineInvariantError) as raised:
+        run(config)
+    assert f"robot {robot} distance rose" in str(raised.value)
+    assert f"(seed=4, step={steps[first + 1]})" in str(raised.value)
 
 
 def test_world_rejects_mismatched_robots():
