@@ -101,12 +101,12 @@ def _cmd_batch(args) -> int:
     harness.emit_outputs(traces_by_block, summary, args.out, config.side_count,
                          reference_pmf=config.feature_field().f_ref)
     for block in summary.blocks:
-        mean = block.mean_steps * config.step_seconds
-        std = block.std_steps * config.step_seconds
-        print(
-            f"{block.mode:13s} N={block.robot_count:<3d} runs={block.runs} "
-            f"censored={block.censored} mean={mean:.1f}s std={std:.1f}s"
-        )
+        # a block whose every run is censored has no convergence time to average
+        stats = (f"mean={block.mean_steps * config.step_seconds:.1f}s "
+                 f"std={block.std_steps * config.step_seconds:.1f}s"
+                 if block.censored < block.runs else "mean=n/a std=n/a")
+        print(f"{block.mode:13s} N={block.robot_count:<3d} runs={block.runs} "
+              f"censored={block.censored} {stats}")
     print(f"outputs written under {args.out}")
     return 0
 

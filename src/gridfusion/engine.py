@@ -352,8 +352,9 @@ class World:
     that config reads.
 
     tick() is a one-tick view of the block _plan planned: it moves the
-    robots and, on a step with a landing or a meeting, senses and fuses.
-    _quiet moves through the steps before the next meeting in one go.
+    robots and, on a step with a landing or a meeting, senses and fuses
+    every encounter group in one pass. _quiet moves through the steps
+    before the next meeting in one go.
     """
 
     def __init__(self, config: RunConfig, positions, masks, streams):
@@ -472,71 +473,70 @@ class World:
         self.positions = self._plan[end - self._first]
 
     def _event_tick(self, senses: list, meets: bool) -> None:
-        """Sense at the planned new features, then fuse every encounter group."""
-        masks, changed = self.masks, []
+        """Sense at the planned new features, then fuse every encounter group
+        in one pass from the pre-fusion opinions, merge, and refresh once.
+
+        A group whose members hold bitwise-identical opinions is skipped:
+        fusing equal opinions returns them unchanged. Members with equal
+        sorted (id, weight) lists share one chernoff_fuse call. A co-located
+        group is a clique, where every member gives w = 1/g to the others and
+        keeps the same s, so one metropolis_weights call gives every list. A
+        fusing robot then marks the nodes where its fused PMF exceeds the
+        nominal one; that need not be the union of the group's sets.
+        """
+        masks, opinions, level, changed = self.masks, self._opinions, self.config.level, []
         for a, col in senses:
             if not masks[a, col]:
                 masks[a, col] = True
                 changed.append(a)
         if changed:
-            self._opinions[changed] = occupancy.pmf_rows(masks[changed], self.config.level)
+            opinions[changed] = occupancy.pmf_rows(masks[changed], level)
+        idx, fused = [], []
         if meets:
             neighbor_sets, groups = build_comm_graph(self.positions, self.grid,
                                                      self.config.comm_radius)
             for _, members in groups:
-                changed += self._fuse_group(neighbor_sets, members)
+                rows = [opinions[b - 1] for b in members]
+                first = rows[0].tobytes()
+                if all(row.tobytes() == first for row in rows[1:]):
+                    continue
+                idx += [b - 1 for b in members]
+                if self.config.comm_radius < self.grid.spacing:
+                    own = fusion.metropolis_weights(
+                        members[0], dict.fromkeys(members[1:], len(members) - 1)).weights
+                    s, w = own[members[0]], own[members[1]]  # when s == w, one list for all
+                    out = [fusion.chernoff_fuse([(row, s if b == a else w)
+                                                 for b, row in zip(members, rows)])
+                           for a in (members if s != w else members[:1])]
+                    fused += out if s != w else out * len(members)
+                    continue
+                lists = [tuple(sorted(fusion.metropolis_weights(
+                    a, {b: len(neighbor_sets[b]) for b in neighbor_sets[a]}).items()))
+                    for a in members]
+                by_list = {key: fusion.chernoff_fuse([(opinions[b - 1], w) for b, w in key])
+                           for key in set(lists)}
+                fused += [by_list[key] for key in lists]
+        if idx:
+            fused, before = np.array(fused), masks[idx]
+            gain = (fused > self.field.f_nom) > before
+            grew = [i for i, g in zip(idx, gain.any(axis=1).tolist()) if g]
+            if self.config.carry == "chernoff":  # only an uninformative fusion keeps its raw row
+                opinions[idx] = fused
+            if grew:  # a merge that grew the occupancy vector refreshes the opinion from it
+                outside = (gain > self.field.mask).any(axis=1)
+                if outside.any():
+                    raise EngineInvariantError(
+                        f"robot {idx[int(np.argmax(outside))] + 1} marked a node outside the "
+                        f"feature set (seed={self.config.seed}, step={self.k})")
+                masks[idx] = before | gain
+                opinions[grew] = occupancy.pmf_rows(masks[grew], level)
+            changed += idx if self.config.carry == "chernoff" else grew
         if changed:
             indices = sorted(set(changed))
             row = self.dh.copy()
-            row[indices] = hellinger_batch(self._opinions[indices], self.field.f_ref)
+            row[indices] = hellinger_batch(opinions[indices], self.field.f_ref)
             row.flags.writeable = False
             self.dh = row
-
-    def _fuse_group(self, neighbor_sets: dict, members: tuple) -> list:
-        """Chernoff-fuse one encounter group simultaneously; returns the
-        indices of the robots whose opinion may have changed.
-
-        Fusion inputs are this tick's post-sensing opinions, and groups are
-        disjoint, so fusing group by group equals fusing all at once. After
-        every member's fused PMF is computed, each member unites its occupied
-        set with the nodes where its fused PMF exceeds the nominal one; that
-        need not be the union of the group's sets.
-        """
-        idx = [b - 1 for b in members]
-        # Identical inputs are skipped: chernoff_fuse returns each one
-        # unchanged, and thresholding it returns a mask its own mask covers.
-        first = self._opinions[idx[0]].tobytes()
-        if all(self._opinions[i].tobytes() == first for i in idx[1:]):
-            return []
-        masks = self.masks[idx]
-        row_of = dict(zip(members, self._opinions[idx]))
-        lists = []
-        for a in members:
-            weights = fusion.metropolis_weights(
-                a, {b: len(neighbor_sets[b]) for b in neighbor_sets[a]}
-            )
-            lists.append(tuple(sorted(weights.items())))
-        # members with equal (id, weight) lists fuse the same input, so each
-        # distinct list is fused once
-        fused_rows = {key: fusion.chernoff_fuse([(row_of[b], w) for b, w in key])
-                      for key in set(lists)}
-        fused = np.array([fused_rows[key] for key in lists])
-        merged = masks | (fused > self.field.f_nom)
-        grew = [i for i, g in zip(idx, (merged != masks).any(axis=1)) if g]
-        if grew:
-            outside = (merged > self.field.mask).any(axis=1)
-            if outside.any():
-                raise EngineInvariantError(
-                    f"robot {members[int(np.argmax(outside))]} marked a node outside the "
-                    f"feature set (seed={self.config.seed}, step={self.k})"
-                )
-            self.masks[idx] = merged
-        keep_fused = self.config.carry == "chernoff"
-        if keep_fused:  # only an uninformative fusion keeps its raw fused PMF
-            self._opinions[idx] = fused
-        if grew:  # a merge that grew the occupancy vector refreshes the opinion from it
-            self._opinions[grew] = occupancy.pmf_rows(self.masks[grew], self.config.level)
-        return idx if keep_fused else grew
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -557,7 +557,7 @@ def run(config: RunConfig) -> RunTrace:
     while convergence_step is None:
         if world.k in snapshot_at:
             snapshots[world.k] = world.opinions()
-        if steps[-1] == world.k and bool(np.all(rows[-1] < eps)):
+        if steps[-1] == world.k and rows[-1].max() < eps:
             convergence_step = world.k
         elif world.k == cfg.max_steps:
             break

@@ -86,8 +86,8 @@ def chernoff_fuse(opinions) -> np.ndarray:
         # one ulp above the input, which would trip strict-threshold
         # comparisons downstream even though nothing was learned.
         return first.copy()
-    log_f = np.zeros(size)
-    for pmf, weight in active:
+    log_f = active[0][1] * np.log(first)
+    for pmf, weight in active[1:]:
         log_f += weight * np.log(pmf)
     shift = log_f.max()
     log_norm = shift + np.log(np.exp(log_f - shift).sum())

@@ -8,10 +8,15 @@ Every record names a file, an exact text to replace (found exactly once),
 the faulty text that replaces it, and the pytest selection that must fail
 under the fault. The script copies ``src``, ``tests`` and ``pyproject.toml``
 into a temporary directory, runs every selection once on the unmutated copy
-(which must pass), then applies each mutant alone and runs its selection.
-Hypothesis runs with a fixed seed, so a result does not vary between calls.
-The script exits 1 if any mutant survives, if a record no longer applies, or
-if a selection fails on the unmutated code. pytest does not collect this file.
+(which must pass within BASE_TIMEOUT seconds), then applies each mutant alone
+and runs its selection. Each pytest run has its own process group and a time
+limit, TIMEOUT_FACTOR times the unmutated run's time but at least MIN_TIMEOUT
+seconds; at the limit the whole group is killed, pool workers included, and
+a mutant whose selection timed out counts as killed: a fault that makes a run
+loop forever is caught too. Hypothesis runs with a fixed seed, so a result
+does not vary between calls. The script exits 1 if any mutant survives, if a
+record no longer applies, or if a selection fails or times out on the
+unmutated code. pytest does not collect this file.
 
 A change that reports a new mutation check adds it here.
 """
@@ -20,9 +25,11 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,8 +50,8 @@ MUTANTS = (
     Mutant(
         "skip a group when its first two members agree",
         "src/gridfusion/engine.py",
-        "if all(self._opinions[i].tobytes() == first for i in idx[1:]):",
-        "if self._opinions[idx[1]].tobytes() == first:",
+        "if all(row.tobytes() == first for row in rows[1:]):",
+        "if rows[1].tobytes() == first:",
         ("tests/test_engine_differential.py",),
     ),
     Mutant(
@@ -110,9 +117,16 @@ MUTANTS = (
     Mutant(
         "drop the grown-row refresh after a merge",
         "src/gridfusion/engine.py",
-        "self._opinions[grew] = occupancy.pmf_rows(self.masks[grew], self.config.level)",
+        "opinions[grew] = occupancy.pmf_rows(masks[grew], level)",
         "pass",
         ("tests/test_engine.py::test_occupancy_carry_opinions_are_their_masks_pmfs",),
+    ),
+    Mutant(
+        "fuse a co-located member with the neighbour weight w in place of its own s",
+        "src/gridfusion/engine.py",
+        "(row, s if b == a else w)",
+        "(row, w)",
+        ("tests/test_output_digest.py::test_chernoff_carry_output_tree_digest_is_pinned",),
     ),
     Mutant(
         "close the comm graph with one matrix product",
@@ -187,10 +201,25 @@ MUTANTS = (
 )
 
 
-def pytest_exit_code(copy: Path, selection) -> int:
+BASE_TIMEOUT = 600
+TIMEOUT_FACTOR = 10
+MIN_TIMEOUT = 60
+
+
+def pytest_exit_code(copy: Path, selection, timeout: float):
+    """pytest's exit code on the selection, or None if it ran past timeout
+    seconds. A run that did not end is killed with its whole process group."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-    return subprocess.run([*PYTEST, *selection], cwd=copy, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    proc = subprocess.Popen([*PYTEST, *selection], cwd=copy, env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        return proc.wait(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None
+    finally:
+        if proc.returncode is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 def main() -> int:
@@ -203,10 +232,15 @@ def main() -> int:
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
 
         selections = sorted({test for m in MUTANTS for test in m.selection})
-        code = pytest_exit_code(copy, selections)
+        start = time.perf_counter()
+        code = pytest_exit_code(copy, selections, BASE_TIMEOUT)
+        if code is None:
+            print(f"the selections time out on the unmutated code ({BASE_TIMEOUT} s)")
+            return 1
         if code != 0:
             print(f"the selections fail on the unmutated code (pytest exit {code})")
             return 1
+        timeout = max(MIN_TIMEOUT, TIMEOUT_FACTOR * (time.perf_counter() - start))
 
         faults = 0
         for mutant in MUTANTS:
@@ -219,12 +253,14 @@ def main() -> int:
                 continue
             target.write_text(original.replace(mutant.old, mutant.new))
             try:
-                code = pytest_exit_code(copy, mutant.selection)
+                code = pytest_exit_code(copy, mutant.selection, timeout)
             finally:
                 target.write_text(original)
-            # pytest exits 1 when tests fail; any other code is an error, not a kill
-            status = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR({code})")
-            faults += code != 1
+            # pytest exits 1 when tests fail, and a run that never ends did not
+            # pass either; any other code is an error, not a kill
+            status = {0: "SURVIVED", 1: "killed", None: "killed (timeout)"}.get(
+                code, f"ERROR({code})")
+            faults += code not in (1, None)
             print(f"{status:9s} {mutant.name}")
         print(f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed")
         return 1 if faults else 0

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -40,6 +41,19 @@ def test_batch_command_sweeps_modes_and_counts(tmp_path, capsys):
     assert len(doc["blocks"]) == 4
     printed = capsys.readouterr().out
     assert "consensus" in printed and "no-consensus" in printed
+
+
+def test_batch_prints_no_mean_for_an_all_censored_block(tmp_path, capsys):
+    out = tmp_path / "batch-out"
+    code = main(["batch", "--robots", "2,4", "--mode", "both", "--runs", "2",
+                 "--max-steps", "10", "--out", str(out)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert len(lines) == 4
+    assert all(line.endswith("censored=2 mean=n/a std=n/a") for line in lines), lines
+    # summary.json keeps its NaN until the summary format changes
+    blocks = json.loads((out / "summary.json").read_text())["blocks"]
+    assert all(math.isnan(block["mean_steps"]) for block in blocks)
 
 
 def test_cli_rejects_bad_config_with_exit_code_2(capsys):

@@ -249,38 +249,76 @@ def test_fusion_unions_occupied_sets_through_a_tick():
         assert (np.flatnonzero(world.masks[idx]) + 1).tolist() == [19, 20]
 
 
-def chernoff_fuse_calls(monkeypatch, positions, comm_radius):
-    """chernoff_fuse calls made by one World._fuse_group on robots at the
-    given nodes (one encounter group), robot a knowing only feature a."""
+def fusing_world(positions, comm_radius=0.0, carry="occupancy"):
+    """A World with robots at the given nodes, robot a knowing only feature a."""
     n = len(positions)
     masks = np.zeros((n, 64), dtype=bool)
     masks[np.arange(n), np.array(DEFAULT_FEATURES[:n]) - 1] = True
-    world = World(RunConfig(robot_count=n, comm_radius=comm_radius), positions,
-                  masks, [RngStream.from_seed(0, a) for a in range(1, n + 1)])
-    neighbor_sets, [(_, members)] = build_comm_graph(world.positions, world.grid, comm_radius)
-    calls = []
-    real = fusion.chernoff_fuse
-    monkeypatch.setattr(fusion, "chernoff_fuse", lambda pairs: calls.append(1) or real(pairs))
-    world._fuse_group(neighbor_sets, members)
-    return len(calls)
+    return World(RunConfig(robot_count=n, comm_radius=comm_radius, carry=carry), positions,
+                 masks, [RngStream.from_seed(0, a) for a in range(1, n + 1)])
 
 
-@pytest.mark.parametrize("positions, comm_radius, calls", [
-    # every member of a co-located group of 2 or 4 gives each robot 1/g
-    ([5, 5], 0.0, 1),
-    ([5, 5, 5, 5], 0.0, 1),
+def fusion_calls(monkeypatch, world):
+    """Run one meeting tick's fusion pass at the world's positions; returns
+    the chernoff_fuse and metropolis_weights calls it made."""
+    calls = {"chernoff_fuse": 0, "metropolis_weights": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(fusion, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(fusion, name, counted)
+    world._event_tick([], True)
+    return calls["chernoff_fuse"], calls["metropolis_weights"]
+
+
+@pytest.mark.parametrize("positions, comm_radius, fuse_calls, weight_calls", [
+    # a co-located group is a clique: one weight call gives every member's
+    # list, and in a group of 2 or 4 every member gives each robot 1/g
+    ([5, 5], 0.0, 1, 1),
+    ([5, 5, 5, 5], 0.0, 1, 1),
     # in a group of 3 the self weight 1 - (1/3 + 1/3) is one ulp above 1/3,
     # so the three lists differ
-    ([5, 5, 5], 0.0, 3),
-    # the same rule on the wide-radius path: a pair fuses once
-    ([1, 2], 0.7, 1),
-    ([5, 5], 0.7, 1),
+    ([5, 5, 5], 0.0, 3, 1),
+    # the wide-radius path asks every member for its weights: a pair fuses once
+    ([1, 2], 0.7, 1, 2),
+    ([5, 5], 0.7, 1, 2),
     # a chain 1-2-3: every member has its own list
-    ([1, 2, 3], 0.7, 3),
+    ([1, 2, 3], 0.7, 3, 3),
 ])
-def test_fuse_group_fuses_each_distinct_weight_list_once(monkeypatch, positions, comm_radius,
-                                                         calls):
-    assert chernoff_fuse_calls(monkeypatch, positions, comm_radius) == calls
+def test_fusion_pass_fuses_each_distinct_weight_list_once(monkeypatch, positions, comm_radius,
+                                                          fuse_calls, weight_calls):
+    world = fusing_world(positions, comm_radius)
+    assert fusion_calls(monkeypatch, world) == (fuse_calls, weight_calls)
+
+
+@pytest.mark.parametrize("carry", engine.CARRY_MODES)
+def test_fusion_pass_equals_fusing_each_group_alone(monkeypatch, carry):
+    # a pair on node 5 and a triple on node 9; robots on distinct nodes 1-3
+    # hear no one, so each lone world fuses one of the two groups
+    both = fusing_world([5, 5, 9, 9, 9], carry=carry)
+    pair = fusing_world([5, 5, 1, 2, 3], carry=carry)
+    triple = fusing_world([1, 2, 9, 9, 9], carry=carry)
+    assert fusion_calls(monkeypatch, both) == (1 + 3, 2)
+    for world in (pair, triple):
+        world._event_tick([], True)
+    for got, alone in ((both.masks, (pair.masks, triple.masks)),
+                       (both.opinions(), (pair.opinions(), triple.opinions()))):
+        assert got.tobytes() == np.concatenate((alone[0][:2], alone[1][2:])).tobytes()
+    assert both.dh.tobytes() == np.concatenate((pair.dh[:2], triple.dh[2:])).tobytes()
+    assert (both.masks.sum(axis=1) > 1).all()  # every robot learned from its group
+
+
+def test_fusion_pass_names_the_first_robot_that_marks_a_non_feature_node():
+    # pairs on nodes 5 and 9; robot 3's opinion also favours node 1, which is
+    # no feature, so both robots of the second pair would mark it
+    world = fusing_world([5, 5, 9, 9])
+    planted = world.masks[2:3].copy()
+    planted[0, 0] = True
+    world._opinions[2] = occupancy.pmf_rows(planted, 0.8)[0]
+    world.k = 7
+    with pytest.raises(EngineInvariantError,
+                       match=r"^robot 3 marked a node outside .*\(seed=0, step=7\)$"):
+        world._event_tick([], True)
 
 
 def test_world_senses_exactly_the_features_it_lands_on():
