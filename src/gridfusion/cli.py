@@ -47,7 +47,7 @@ _FLAG_PARSERS = {
 
 
 def _build_config(args, robot_count: int, mode: str) -> tuple:
-    """(validated RunConfig, the config file's batch section or {}) from --config and flags."""
+    """(RunConfig, the config file's batch section or {}) from --config and flags."""
     config, batch = harness.load_config(args.config) if args.config else (RunConfig(), {})
     overrides = {
         f.name: _FLAG_PARSERS.get(f.name, lambda value: value)(getattr(args, f.name))
@@ -56,7 +56,7 @@ def _build_config(args, robot_count: int, mode: str) -> tuple:
     }
     overrides["robot_count"] = robot_count
     overrides["mode"] = mode
-    return dataclasses.replace(config, **overrides).validate(), batch
+    return dataclasses.replace(config, **overrides), batch
 
 
 def _cmd_run(args) -> int:

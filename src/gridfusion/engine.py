@@ -13,7 +13,7 @@ occupancy vector whenever sensing or a merge changes that vector. The two
 carry modes differ in one rule. In the canonical "occupancy" mode an
 uninformative fusion leaves the row alone, so every row stays its mask's PMF
 and a robot's Hellinger distance to the reference depends only on how many
-features it knows; RunConfig.validate rejects the dense maps on which that
+features it knows; a RunConfig rejects the dense maps on which that
 distance can rise, and run checks that it never rises. The "chernoff"
 mode keeps the raw fused row after an uninformative fusion; it reproduces
 the small distance bumps that raw fusion arithmetic causes and is kept for
@@ -76,7 +76,8 @@ def _step_keys(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a single run needs; validated before use."""
+    """Everything a single run needs, checked when built (dataclasses.replace
+    too), so a replace changes dependent fields, e.g. features and carry, at once."""
 
     side_count: int = 8
     spacing: float = 0.7
@@ -91,6 +92,9 @@ class RunConfig:
     comm_radius: float = 0.0
     snapshot_steps: tuple = ()
     step_seconds: float = 1.0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "RunConfig":
         for name in ("level", "epsilon", "comm_radius", "step_seconds"):
@@ -188,8 +192,7 @@ class RunConfig:
 
     def feature_field(self) -> occupancy.FeatureField:
         """The run's ground truth: the feature nodes with their reference and
-        nominal PMFs. The one place a config becomes a FeatureField; a World
-        takes the one that shared_parts() holds."""
+        nominal PMFs. A World takes the equal one that shared_parts() holds."""
         features = frozenset(self.resolve_features())
         return occupancy.FeatureField(self.side_count * self.side_count, features, self.level)
 
@@ -214,12 +217,11 @@ class SharedParts(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _shared_parts(side_count, spacing, level, features: frozenset) -> SharedParts:
-    """A configuration's SharedParts, built once per process. Keyed by exactly
-    the config fields they depend on; maxsize=1 keeps only the last
-    configuration's parts (134 MB on 64x64) alive until the next is built."""
+    """A configuration's SharedParts, its FeatureField included, built once per
+    process from exactly the fields of a checked RunConfig that they depend on;
+    maxsize=1 keeps only the last configuration's parts (134 MB on 64x64) alive."""
     grid = spatial.build_grid(side_count, spacing)
-    field = RunConfig(side_count=side_count, spacing=spacing, level=level,
-                      features=tuple(sorted(features))).feature_field()
+    field = occupancy.FeatureField(side_count * side_count, features, level)
     counts = np.concatenate(([0], grid.degrees + 1))
     walk = np.take_along_axis(grid.choices, _PICK[counts], axis=1)
     return SharedParts(grid, field, spatial.build_transition_matrix(grid),
@@ -390,7 +392,6 @@ class World:
 
     @classmethod
     def from_config(cls, config: RunConfig) -> "World":
-        config.validate()
         count, node_count = config.robot_count, config.side_count * config.side_count
         placement = mobility.RngStream.from_seed(config.seed, 0)
         positions = mobility.initialize_robots(count, node_count, placement)

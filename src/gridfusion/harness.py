@@ -77,7 +77,6 @@ def run_batch(config: RunConfig, runs: int, master_seed: int, workers: int = 1, 
     invariant aborts the batch; the offending seed is part of the message.
     """
     _check_runs_and_workers(runs, workers, master_seed)
-    config.validate()
     jobs = [(config, derive_run_seed(master_seed, i)) for i in range(runs)]
     if workers == 1:
         return [_execute_run(job) for job in jobs]
@@ -150,9 +149,9 @@ def run_sweep(config: RunConfig, robot_counts, modes, runs: int, master_seed: in
     Every block is checked before the first run starts.
     Returns (McSummary, {(mode, n): traces})."""
     _check_runs_and_workers(runs, workers, master_seed)
-    # a non-integer count reaches RunConfig.validate as it is, and is rejected there
+    # a non-integer count reaches RunConfig as it is, and is rejected there
     counts = [int(n) if _is_int(n) else n for n in robot_counts]
-    configs = {(mode, n): dataclasses.replace(config, mode=mode, robot_count=n).validate()
+    configs = {(mode, n): dataclasses.replace(config, mode=mode, robot_count=n)
                for mode in modes for n in counts}
     # a repeated block would overwrite its traces
     if not configs or len(configs) != len(modes) * len(counts):
@@ -271,9 +270,9 @@ def _check_keys(section: dict, known, where: str) -> None:
 
 def config_from_dict(d: dict) -> RunConfig:
     _check_keys(d, {f.name for f in dataclasses.fields(RunConfig)}, "config")
-    # YAML lists become tuples; validate rejects every entry that is not an id
+    # YAML lists become tuples; RunConfig rejects every entry that is not an id
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-    return RunConfig(**kwargs).validate()
+    return RunConfig(**kwargs)
 
 
 def load_config(path):

@@ -164,11 +164,30 @@ MUTANTS = (
         ("tests/test_mobility.py::test_stream_first_uniforms_are_pinned",),
     ),
     Mutant(
-        "check each sweep block only when its turn comes",
+        "build each sweep block's config only when its turn comes",
         "src/gridfusion/harness.py",
-        "dataclasses.replace(config, mode=mode, robot_count=n).validate()",
-        "dataclasses.replace(config, mode=mode, robot_count=n)",
+        "    configs = {(mode, n): dataclasses.replace(config, mode=mode, robot_count=n)\n"
+        "               for mode in modes for n in counts}\n",
+        "    class Lazy(dict):  # builds a block's config as the runs reach it\n"
+        "        def items(self):\n"
+        "            return ((k, dataclasses.replace(config, mode=k[0], robot_count=k[1]))\n"
+        "                    for k in self)\n"
+        "    configs = Lazy.fromkeys((mode, n) for mode in modes for n in counts)\n",
         ("tests/test_harness.py::test_sweep_checks_every_block_before_its_first_run",),
+    ),
+    Mutant(
+        "build a RunConfig without checking it",
+        "src/gridfusion/engine.py",
+        "    def __post_init__(self):\n        self.validate()",
+        "    def __post_init__(self):\n        pass",
+        ("tests/test_engine.py::test_config_rejects_bad_fields",),
+    ),
+    Mutant(
+        "drop one member's merge",
+        "src/gridfusion/engine.py",
+        "masks[idx] = before | gain",
+        "masks[idx[1:]] = (before | gain)[1:]",
+        ("tests/test_exact_consensus.py",),
     ),
     Mutant(
         "key the shared World parts without the level they are built at",

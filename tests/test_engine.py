@@ -84,9 +84,12 @@ def test_config_rejects_bad_fields():
         dict(features=range(19, 22)),
         dict(features={}),
     ]
+    # building a config checks it, whether by the constructor or by replace
     for overrides in bad:
         with pytest.raises(ConfigError):
-            RunConfig(**overrides).validate()
+            RunConfig(**overrides)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(RunConfig(), **overrides)
     # a non-finite ring would resolve to an empty map; the error names the spec
     with pytest.raises(ConfigError, match="'circle:4,5,inf'"):
         RunConfig(features="circle:4,5,inf").resolve_features()
@@ -95,18 +98,21 @@ def test_config_rejects_bad_fields():
 def test_config_rejects_maps_where_occupancy_distance_rises():
     # at level 0.8 on 8x8 a robot's occupancy-carry distance rises with its
     # first finds once 23 or more of the 64 nodes are features
-    dense = RunConfig(features=tuple(range(1, 24)), robot_count=8, max_steps=200)
     with pytest.raises(ConfigError, match="--carry chernoff"):
-        dense.validate()
-    run(dataclasses.replace(dense, features=tuple(range(1, 23))))
-    run(dataclasses.replace(dense, carry="chernoff"))
+        RunConfig(features=tuple(range(1, 24)), robot_count=8, max_steps=200)
+    sparse = RunConfig(features=tuple(range(1, 23)), robot_count=8, max_steps=200)
+    run(sparse)
+    with pytest.raises(ConfigError, match="--carry chernoff"):
+        dataclasses.replace(sparse, features=tuple(range(1, 24)))
+    # features and carry change together, in one replace
+    run(dataclasses.replace(sparse, features=tuple(range(1, 24)), carry="chernoff"))
 
 
 def test_config_accepts_a_dense_map_whose_runs_end_at_step_zero():
     dense = RunConfig(features=tuple(range(1, 24)), robot_count=2, carry="chernoff")
     start = World.from_config(dense).dh[0]
     with pytest.raises(ConfigError):
-        dataclasses.replace(dense, carry="occupancy", epsilon=start).validate()
+        dataclasses.replace(dense, carry="occupancy", epsilon=start)
     above = dataclasses.replace(dense, carry="occupancy", epsilon=float(np.nextafter(start, 1)))
     assert run(above).convergence_step == 0
 
