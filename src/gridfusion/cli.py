@@ -61,23 +61,10 @@ def _build_config(args, robot_count: int, mode: str) -> tuple:
 
 def _cmd_run(args) -> int:
     config, _ = _build_config(args, args.robots, args.mode)
-    traces = [run_single(config)]
-    block = harness.summarize_block(config.mode, config.robot_count, traces)
-    summary = harness.McSummary(
-        master_seed=config.seed,
-        runs_per_block=1,
-        step_seconds=config.step_seconds,
-        config_echo=dataclasses.asdict(config),
-        blocks=(block,),
-    )
-    harness.emit_outputs(
-        {(config.mode, config.robot_count): traces},
-        summary,
-        args.out,
-        config.side_count,
-        reference_pmf=config.feature_field().f_ref,
-    )
-    trace = traces[0]
+    trace = run_single(config)
+    traces_by_block = {(config.mode, config.robot_count): [trace]}
+    harness.emit_outputs(traces_by_block, harness.summarize(config, traces_by_block, config.seed),
+                         args.out, config.side_count, reference_pmf=config.feature_field().f_ref)
     if trace.censored:
         print(f"run censored at T={config.max_steps} steps (no convergence)")
     else:

@@ -125,12 +125,12 @@ class RunConfig:
             raise ConfigError(
                 f"snapshot_steps must be non-negative integers, got {self.snapshot_steps!r}"
             )
-        features = self.resolve_features()
+        features = self._features  # resolving checks the spec, in either carry
         if self.carry == "occupancy":
-            self._check_monotone_distance(set(features))
+            self._check_monotone_distance(features)
         return self
 
-    def _check_monotone_distance(self, features: set) -> None:
+    def _check_monotone_distance(self, features: frozenset) -> None:
         """Reject a map on which the occupancy carry's distance can rise.
 
         In the occupancy carry a robot that knows m of the f features has a
@@ -190,17 +190,22 @@ class RunConfig:
             raise ConfigError(f"feature nodes {sorted(bad)} outside [1, {node_count}]")
         return nodes
 
+    @cached_property
+    def _features(self) -> frozenset:
+        """The feature nodes, resolved once per config for validate(), feature_field()
+        and shared_parts(); not a field, so a replace resolves its own."""
+        return frozenset(self.resolve_features())
+
     def feature_field(self) -> occupancy.FeatureField:
         """The run's ground truth: the feature nodes with their reference and
         nominal PMFs. A World takes the equal one that shared_parts() holds."""
-        features = frozenset(self.resolve_features())
-        return occupancy.FeatureField(self.side_count * self.side_count, features, self.level)
+        return occupancy.FeatureField(self.side_count * self.side_count, self._features,
+                                      self.level)
 
     def shared_parts(self) -> "SharedParts":
         """The read-only parts of a World that depend only on the grid, the
         level and the feature set; every World of them shares one copy."""
-        return _shared_parts(self.side_count, self.spacing, self.level,
-                             frozenset(self.resolve_features()))
+        return _shared_parts(self.side_count, self.spacing, self.level, self._features)
 
 
 class SharedParts(NamedTuple):

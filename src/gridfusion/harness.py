@@ -126,7 +126,6 @@ def summarize_block(mode: str, robot_count: int, traces) -> McBlock:
     if not traces:
         raise ValueError("cannot summarize an empty batch")
     steps = [t.convergence_step for t in traces if not t.censored]
-    censored = sum(1 for t in traces if t.censored)
     if steps:
         arr = np.array(steps, dtype=float)
         mean, std = float(arr.mean()), float(arr.std())
@@ -136,9 +135,24 @@ def summarize_block(mode: str, robot_count: int, traces) -> McBlock:
         mode=mode,
         robot_count=robot_count,
         runs=len(traces),
-        censored=censored,
+        censored=len(traces) - len(steps),
         mean_steps=mean,
         std_steps=std,
+    )
+
+
+def summarize(config: RunConfig, traces_by_block, master_seed: int,
+              per_block=()) -> McSummary:
+    """The one McSummary builder: a block per (mode, n) entry, each as long as
+    the first, and ``config`` echoed without the fields a sweep's blocks set."""
+    return McSummary(
+        master_seed=master_seed,
+        runs_per_block=len(next(iter(traces_by_block.values()))),
+        step_seconds=config.step_seconds,
+        # json writes the tuple fields as lists
+        config_echo={k: v for k, v in dataclasses.asdict(config).items() if k not in per_block},
+        blocks=tuple(summarize_block(mode, n, traces)
+                     for (mode, n), traces in traces_by_block.items()),
     )
 
 
@@ -160,16 +174,8 @@ def run_sweep(config: RunConfig, robot_counts, modes, runs: int, master_seed: in
     with _pool(workers) as pool:
         traces_by_block = {key: run_batch(block_config, runs, master_seed, workers, pool=pool)
                            for key, block_config in configs.items()}
-    per_block = ("robot_count", "mode", "seed")
-    summary = McSummary(
-        master_seed=master_seed,
-        runs_per_block=runs,
-        step_seconds=config.step_seconds,
-        # json writes the tuple fields as lists
-        config_echo={k: v for k, v in dataclasses.asdict(config).items() if k not in per_block},
-        blocks=tuple(summarize_block(mode, n, traces)
-                     for (mode, n), traces in traces_by_block.items()),
-    )
+    summary = summarize(config, traces_by_block, master_seed,
+                        per_block=("robot_count", "mode", "seed"))
     return summary, traces_by_block
 
 

@@ -211,6 +211,28 @@ MUTANTS = (
         ("tests/test_engine.py::test_shared_parts_keep_one_configuration_alive",),
     ),
     Mutant(
+        "keep one resolved feature set per side count",
+        "src/gridfusion/engine.py",
+        "        return frozenset(self.resolve_features())\n",
+        "        by_side = vars(RunConfig.resolve_features).setdefault(\"by_side\", {})\n"
+        "        return by_side.setdefault(self.side_count, frozenset(self.resolve_features()))\n",
+        ("tests/test_engine.py::test_a_replace_that_changes_the_map_resolves_it_again",),
+    ),
+    Mutant(
+        "echo a sweep's per-block fields in its summary",
+        "src/gridfusion/harness.py",
+        'per_block=("robot_count", "mode", "seed")',
+        "per_block=()",
+        ("tests/test_output_digest.py::test_output_tree_digest_is_pinned",),
+    ),
+    Mutant(
+        "plan a meeting only where the two lowest nodes coincide",
+        "src/gridfusion/engine.py",
+        "meets = (nodes[:, 1:] == nodes[:, :-1]).any(axis=1)",
+        "meets = nodes[:, 1] == nodes[:, 0]",
+        ("tests/test_exact_consensus.py::test_three_robot_consensus_matches_the_exact_chain",),
+    ),
+    Mutant(
         "give the step-key table a wrong top triple",
         "src/gridfusion/engine.py",
         "(2, 3, 4))",

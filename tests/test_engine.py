@@ -20,6 +20,7 @@ from gridfusion.engine import (
     run,
 )
 from gridfusion.errors import ConfigError, EngineInvariantError
+from gridfusion.harness import run_batch
 from gridfusion.mobility import RngStream
 from gridfusion.occupancy import FeatureField
 from gridfusion.spatial import build_grid
@@ -702,6 +703,43 @@ def test_a_grid_level_or_feature_change_gives_new_parts(change):
     other = World.from_config(dataclasses.replace(SHARED_BASE, **change))
     assert not any(a is b for a, b in zip(first, shared(other)))
     assert other.grid.spacing == other.config.spacing and other.field.level == other.config.level
+
+
+def test_a_run_resolves_its_feature_map_once(monkeypatch):
+    config = RunConfig(features="circle:4,5,2")
+    calls, circle_nodes = [], occupancy.circle_nodes
+    monkeypatch.setattr(occupancy, "circle_nodes",
+                        lambda *args: calls.append(args) or circle_nodes(*args))
+    run_batch(config, 5, 1)
+    # each run's replace checks its config, and its World reads that config's set
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("change", [
+    dict(features="circle:4,4,1"), dict(features=(1, 2)), dict(side_count=7), dict(level=0.85),
+], ids=lambda change: next(iter(change)))
+def test_a_replace_that_changes_the_map_resolves_it_again(change):
+    base = RunConfig(side_count=6, spacing=0.5, level=0.9, features="circle:3,3,1")
+    base.feature_field(), base.shared_parts()
+    other = dataclasses.replace(base, **change)
+    nodes = frozenset(other.resolve_features())
+    expected = FeatureField(other.side_count ** 2, nodes, other.level)
+    for field in (other.feature_field(), other.shared_parts().field):
+        assert field.occupied == nodes and field.level == other.level
+        assert np.array_equal(field.f_ref, expected.f_ref)
+    assert other.shared_parts().grid.side_count == other.side_count
+
+
+def test_the_resolved_feature_map_is_not_a_field():
+    names = ["side_count", "spacing", "robot_count", "level", "features", "epsilon",
+             "max_steps", "mode", "carry", "seed", "comm_radius", "snapshot_steps",
+             "step_seconds"]
+    config = RunConfig(features="circle:4,5,2")
+    config.shared_parts()
+    assert [f.name for f in dataclasses.fields(RunConfig)] == names
+    assert list(dataclasses.asdict(config)) == names
+    fresh = RunConfig(features="circle:4,5,2")
+    assert config == fresh and hash(config) == hash(fresh) and repr(config) == repr(fresh)
 
 
 def test_shared_parts_are_read_only():

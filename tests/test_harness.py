@@ -20,6 +20,7 @@ from gridfusion.harness import (
     parse_features,
     run_batch,
     run_sweep,
+    summarize,
     summarize_block,
     write_pmf_csv,
     write_trace_csv,
@@ -158,6 +159,17 @@ def test_sweep_produces_blocks_per_mode_and_count():
     assert [(b.mode, b.robot_count) for b in summary.blocks] == [
         ("consensus", 2), ("consensus", 3), ("no-consensus", 2), ("no-consensus", 3)]
     assert all(b.runs == 2 for b in summary.blocks)
+
+
+def test_a_sweep_echoes_only_the_fields_its_blocks_share():
+    config = tiny_config()
+    summary, traces = run_sweep(config, [2], ["consensus"], runs=2, master_seed=3)
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(summary.config_echo) == fields - {"robot_count", "mode", "seed"}
+    # a single run, as `gridfusion run` writes it, echoes every field
+    single = summarize(config, traces, 3)
+    assert set(single.config_echo) == fields
+    assert (single.blocks, single.runs_per_block) == (summary.blocks, 2)
 
 
 def test_trace_csv_round_trip(tmp_path):
