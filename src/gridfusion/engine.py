@@ -95,6 +95,9 @@ class RunConfig:
 
     def __post_init__(self):
         self.validate()
+        for name in ("features", "snapshot_steps"):  # a list is stored as a tuple: hashable
+            if isinstance(value := getattr(self, name), list):
+                object.__setattr__(self, name, tuple(value))
 
     def validate(self) -> "RunConfig":
         for name in ("level", "epsilon", "comm_radius", "step_seconds"):
@@ -283,23 +286,19 @@ def build_comm_graph(positions, grid: spatial.SpatialGrid, comm_radius: float):
     exactly when co-located; larger radii connect robots whose node
     coordinates lie within comm_radius meters.
 
-    Returns (neighbor_sets, groups): neighbor_sets maps every robot id with a
-    neighbor to the frozenset of its neighbors' ids (symmetric, irreflexive),
-    and groups lists (node, member ids) for every connected set of two or more
-    robots, ordered by lowest robot id.
+    Returns (neighbor_sets, groups): groups lists (node, member ids) for every
+    connected set of two or more robots, members ascending and groups ordered
+    by lowest robot id. Below the spacing every group is a clique, so a
+    member's neighbors are the rest of its group and neighbor_sets is empty;
+    otherwise it maps every robot id with a neighbor to the frozenset of its
+    neighbors' ids (symmetric, irreflexive).
     """
-    neighbor_sets = {}
-    groups = []
+    neighbor_sets, groups = {}, []
     if comm_radius < grid.spacing:
         by_node = {}
         for robot, node in enumerate(np.asarray(positions).tolist(), start=1):
             by_node.setdefault(node, []).append(robot)
-        for node, members in by_node.items():
-            if len(members) < 2:
-                continue
-            for a in members:
-                neighbor_sets[a] = frozenset(b for b in members if b != a)
-            groups.append((node, tuple(members)))
+        groups = [(node, tuple(members)) for node, members in by_node.items() if len(members) > 1]
     else:
         xy = grid.coordinates[np.asarray(positions) - 1]
         with np.errstate(over="ignore"):  # a huge radius squares to inf: all in range

@@ -276,9 +276,7 @@ def _check_keys(section: dict, known, where: str) -> None:
 
 def config_from_dict(d: dict) -> RunConfig:
     _check_keys(d, {f.name for f in dataclasses.fields(RunConfig)}, "config")
-    # YAML lists become tuples; RunConfig rejects every entry that is not an id
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-    return RunConfig(**kwargs)
+    return RunConfig(**d)
 
 
 def load_config(path):

@@ -62,6 +62,21 @@ MUTANTS = (
         ("tests/test_engine_differential.py",),
     ),
     Mutant(
+        "fuse co-located groups through the neighbour-set path",
+        "src/gridfusion/engine.py",
+        "if self.config.comm_radius < self.grid.spacing:",
+        "if False:",
+        ("tests/test_engine_differential.py",),
+    ),
+    Mutant(
+        "fuse every wide-radius group as a clique",
+        "src/gridfusion/engine.py",
+        "if self.config.comm_radius < self.grid.spacing:",
+        "if True:",
+        ("tests/test_exact_consensus.py::"
+         "test_three_robots_in_a_line_merge_by_their_own_neighbourhoods",),
+    ),
+    Mutant(
         "treat every comm radius as co-location",
         "src/gridfusion/engine.py",
         "if comm_radius < grid.spacing:",
@@ -231,6 +246,13 @@ MUTANTS = (
         "meets = (nodes[:, 1:] == nodes[:, :-1]).any(axis=1)",
         "meets = nodes[:, 1] == nodes[:, 0]",
         ("tests/test_exact_consensus.py::test_three_robot_consensus_matches_the_exact_chain",),
+    ),
+    Mutant(
+        "plan a spurious meeting every seventh tick",
+        "src/gridfusion/engine.py",
+        "meets = (nodes[:, 1:] == nodes[:, :-1]).any(axis=1)",
+        "meets = (nodes[:, 1:] == nodes[:, :-1]).any(axis=1) | (np.arange(PLAN_TICKS) % 7 == 0)",
+        ("tests/test_engine.py::test_planned_meetings_are_the_steps_with_a_colocated_group",),
     ),
     Mutant(
         "give the step-key table a wrong top triple",

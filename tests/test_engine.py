@@ -138,15 +138,17 @@ def test_config_circle_tag_matches_default_set():
 
 def test_comm_graph_colocated_clique():
     grid = build_grid(8, 0.7)
-    graph, groups = build_comm_graph(np.array([10, 10, 10, 44]), grid, 0.0)
-    assert graph == {1: frozenset({2, 3}), 2: frozenset({1, 3}), 3: frozenset({1, 2})}
-    assert groups == [(10, (1, 2, 3))]
+    # a co-located group is a clique, so its member list is all a caller needs
+    assert build_comm_graph(np.array([10, 10, 10, 44]), grid, 0.0) == ({}, [(10, (1, 2, 3))])
 
 
 def test_comm_graph_symmetric_irreflexive():
     grid = build_grid(8, 0.7)
-    graph, _ = build_comm_graph(np.array([5, 5, 9, 9, 9]), grid, 0.0)
-    assert sorted(graph) == [1, 2, 3, 4, 5]
+    # 0.8 m reaches lattice neighbours (0.7 m) but not diagonals (0.99 m), so
+    # robots 1-2 (one node), 3, 4 and 5 form a chain that is not a clique
+    graph, groups = build_comm_graph(np.array([1, 1, 2, 3, 11, 64]), grid, 0.8)
+    assert groups == [(1, (1, 2, 3, 4, 5))]
+    assert sorted(graph) == [1, 2, 3, 4, 5] and graph[1] == frozenset({2, 3})
     for a, nbrs in graph.items():
         assert a not in nbrs
         for b in nbrs:
@@ -175,10 +177,30 @@ def test_comm_graph_small_radius_means_colocation():
     assert graph == {} and groups == []
 
 
+@pytest.mark.parametrize("robots", [2, 8, 16])
+def test_planned_meetings_are_the_steps_with_a_colocated_group(robots):
+    # _plan's sorted-row test and build_comm_graph's node map both decide
+    # co-location; a spurious planned meeting changes no output, so only a
+    # direct comparison catches one
+    met = 0
+    for seed in range(4):
+        config = RunConfig(robot_count=robots, seed=seed)
+        world = World.from_config(config)
+        blocks = engine._plan(config, config.shared_parts(), world.positions, world.streams,
+                              world.masks)
+        for _ in range(3):
+            first, plan, _, meetings = next(blocks)
+            grouped = [first + i for i, row in enumerate(plan)
+                       if build_comm_graph(row, world.grid, config.comm_radius)[1]]
+            assert meetings[::-1] == grouped
+            met += len(grouped)
+    assert met > 0
+
+
 def reference_comm_graph(positions, grid, comm_radius):
-    """Neighbor sets and groups from scipy's connected_components on the
-    graph of robots whose grid points lie within comm_radius (any robots on
-    one node when comm_radius is below the spacing)."""
+    """Neighbor sets (none below the spacing) and groups from scipy's
+    connected_components on the graph of robots whose grid points lie within
+    comm_radius (any robots on one node when comm_radius is below the spacing)."""
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
@@ -194,8 +216,9 @@ def reference_comm_graph(positions, grid, comm_radius):
 
     n = len(positions)
     adj = np.array([[in_range(a, b) for b in range(n)] for a in range(n)])
+    # below the spacing every group is a clique, and build_comm_graph gives no sets
     neighbor_sets = {a + 1: frozenset(int(b) + 1 for b in np.flatnonzero(adj[a]))
-                     for a in range(n) if adj[a].any()}
+                     for a in range(n) if adj[a].any() and comm_radius >= grid.spacing}
     labels = connected_components(csr_array(adj), directed=False)[1]
     components = [np.flatnonzero(labels == label) + 1 for label in np.unique(labels)]
     groups = [(positions[m[0] - 1], tuple(m.tolist())) for m in components if m.size > 1]

@@ -292,6 +292,19 @@ def test_numpy_config_values_write_the_same_summary(tmp_path):
     assert summary_bytes(tmp_path / "numpy", numpy_typed, [np.int64(2)], np.int64(8)) == expected
 
 
+def test_a_list_built_config_is_its_tuple_built_twin(tmp_path):
+    def summary_bytes(out, config):
+        summary, traces = run_sweep(config, [2], ["consensus"], runs=2, master_seed=3)
+        emit_outputs(traces, summary, out, 8, reference_pmf=config.feature_field().f_ref)
+        return (out / "summary.json").read_bytes()
+
+    listed = tiny_config(features=[19, 20], snapshot_steps=[0, 5], max_steps=50)
+    tupled = tiny_config(features=(19, 20), snapshot_steps=(0, 5), max_steps=50)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.features == (19, 20) and listed.snapshot_steps == (0, 5)
+    assert summary_bytes(tmp_path / "list", listed) == summary_bytes(tmp_path / "tuple", tupled)
+
+
 def test_summary_statistics_match_emitted_traces(tmp_path):
     """Aggregation oracle: recompute mean/std from the trace files."""
     config = tiny_config()
