@@ -5,8 +5,9 @@ the landing node, rebuilds the encounter graph from the new positions, and
 (in consensus mode) lets every robot with neighbors fuse opinions and merge
 the thresholded result into its occupancy vector. All fusion updates within a
 tick read pre-fusion beliefs and are applied simultaneously, so robot
-numbering cannot change the outcome. Most steps hold no meeting, so run
-moves through each stretch between meetings with one distance batch.
+numbering cannot change the outcome. Most steps hold no meeting, so
+World.tick moves through each stretch between meetings with one distance
+batch.
 
 Every robot's opinion PMF is one row of an (N, S) array, refreshed from its
 occupancy vector whenever sensing or a merge changes that vector. The two
@@ -22,6 +23,7 @@ comparison.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -357,10 +359,10 @@ class World:
     the feature field are the config's SharedParts, which every World of
     that config reads.
 
-    tick() is a one-tick view of the block _plan planned: it moves the
-    robots and, on a step with a landing or a meeting, senses and fuses
-    every encounter group in one pass. _quiet moves through the steps
-    before the next meeting in one go.
+    tick() is the one stepping method: it moves the robots along the blocks
+    _plan planned, a step or a quiet stretch at a time, senses and fuses.
+    The run's distance record is kept as change points: change_rows[j]
+    holds every robot's distance from step change_steps[j] on.
     """
 
     def __init__(self, config: RunConfig, positions, masks, streams):
@@ -388,8 +390,9 @@ class World:
             raise ConfigError("robot beliefs must mark feature nodes only")
         self.k = 0
         self._opinions = occupancy.pmf_rows(self.masks, config.level)
-        self.dh = hellinger_batch(self._opinions, self.field.f_ref)
-        self.dh.flags.writeable = False
+        dh = hellinger_batch(self._opinions, self.field.f_ref)
+        dh.flags.writeable = False
+        self.change_steps, self.change_rows = [0], [dh]  # the run's change points
         self._blocks = _plan(config, parts, self.positions, self.streams, self.masks)
         # the block that holds step k + 1, which starts at step _first
         self._first, self._plan, self._landings, self._meetings = 1 - PLAN_TICKS, None, [], []
@@ -407,42 +410,37 @@ class World:
         """Fresh copy of the per-robot opinion PMFs, one row per robot."""
         return self._opinions.copy()
 
-    def tick(self) -> np.ndarray:
-        """Advance one step and return the per-robot distances to the reference.
+    @property
+    def dh(self) -> np.ndarray:
+        """The per-robot distances to the reference: the last change row."""
+        return self.change_rows[-1]
 
-        The returned row is read-only and is the same object on later ticks
-        until some robot's distance changes.
+    def tick(self, limit: Optional[int] = None) -> np.ndarray:
+        """Take one step, or with a limit the quiet steps after k up to limit,
+        the block's end or the step before the next meeting, but at least one;
+        a meeting step is taken alone. Return the per-robot distances to the
+        reference: a read-only row, the same object until a distance changes.
+
+        Each robot senses at its first landing on a feature it does not know;
+        one pmf_rows call on the stacked masks gives every landing's opinion.
+        A meeting step then fuses, and _fuse refreshes its distances in one
+        hellinger_batch call. A stretch gets every distance from one call on
+        the stack, bitwise as single steps would, and ends before its next
+        landing step once the stack holds STACK_FLOATS entries. Every step
+        that changes a distance adds a change point. At the first step with
+        every distance below epsilon a stretch stops, undoing later landings.
         """
         step = self.k + 1
         if step == self._first + PLAN_TICKS:
             self._first, self._plan, self._landings, self._meetings = next(self._blocks)
-        self.positions, self.k = self._plan[step - self._first], step
-        senses = []
-        while self._landings and self._landings[-1][0] == step:
-            senses.append(self._landings.pop()[1:])
         meets = step in self._meetings[-1:]
         if meets:
             self._meetings.pop()
-        if senses or meets:
-            self._event_tick(senses, meets)
-        return self.dh
-
-    def _quiet(self, limit: int, eps: float, steps: list, rows: list) -> None:
-        """Move through the steps after k up to limit, the block's end or the
-        step before its next meeting, sensing at each robot's first landing on
-        a feature it does not know. One pmf_rows and hellinger_batch call on
-        the stacked masks gives every landing's distance, bitwise as tick()
-        would, and each step with a landing adds a change point; a stack of
-        STACK_FLOATS entries ends the stretch before its next landing step. At
-        the first step with every distance below eps it stops, undoing the
-        later landings."""
-        if self.k + 1 == self._first + PLAN_TICKS:
-            self._first, self._plan, self._landings, self._meetings = next(self._blocks)
-        end = min(limit, self._first + PLAN_TICKS - 1)
-        if self._meetings:
-            end = min(end, self._meetings[-1] - 1)
-            if end == self.k:  # step k + 1 is a meeting
-                return
+        end = step
+        if limit is not None and not meets:  # a stretch, which ends before the next meeting
+            end = max(step, min(limit, self._first + PLAN_TICKS - 1))
+            if self._meetings:
+                end = min(end, self._meetings[-1] - 1)
         masks, landed, stack = self.masks, [], []
         while self._landings and self._landings[-1][0] <= end:
             step, a, col = self._landings[-1]
@@ -454,32 +452,37 @@ class World:
                 masks[a, col] = True
                 landed.append((step, a, col))
                 stack.append(masks[a].copy())
+        sensed = {}
         if landed:
             pmfs = occupancy.pmf_rows(np.array(stack), self.config.level)
-            new = hellinger_batch(pmfs, self.field.f_ref).tolist()
-            row, table = self.dh.tolist(), []
-            for j, (step, a, _) in enumerate(landed):
-                row[a] = new[j]
-                if j + 1 == len(landed) or landed[j + 1][0] != step:  # the step's last landing
-                    steps.append(step)
-                    table.append(row.copy())
-                    if max(row) < eps:
-                        end = step
-                        break
-            for _, a, col in landed[j + 1:]:  # past the convergence step
-                masks[a, col] = False
-            last = {a: i for i, (_, a, _) in enumerate(landed[:j + 1])}
-            self._opinions[list(last)] = pmfs[list(last.values())]
-            table = np.array(table)
-            table.flags.writeable = False
-            rows += list(table)
-            self.dh = rows[-1]
-        self.k = end
-        self.positions = self._plan[end - self._first]
+            if not meets:
+                new = hellinger_batch(pmfs, self.field.f_ref).tolist()
+                row, table = self.dh.tolist(), []
+                for j, (step, a, _) in enumerate(landed):
+                    row[a] = new[j]
+                    if j + 1 == len(landed) or landed[j + 1][0] != step:  # the step's last landing
+                        self.change_steps.append(step)
+                        table.append(row.copy())
+                        if max(row) < self.config.epsilon:
+                            end = step
+                            break
+                for _, a, col in landed[j + 1:]:  # past the convergence step
+                    masks[a, col] = False
+                del landed[j + 1:]
+                table = np.array(table)
+                table.flags.writeable = False
+                self.change_rows += list(table)
+            sensed = {a: i for i, (_, a, _) in enumerate(landed)}  # each robot's last landing
+            self._opinions[list(sensed)] = pmfs[list(sensed.values())]
+        self.k, self.positions = end, self._plan[end - self._first]
+        if meets:
+            self._fuse(sensed)
+        return self.dh
 
-    def _event_tick(self, senses: list, meets: bool) -> None:
-        """Sense at the planned new features, then fuse every encounter group
-        in one pass from the pre-fusion opinions, merge, and refresh once.
+    def _fuse(self, sensed) -> None:
+        """Fuse every encounter group in one pass from the pre-fusion
+        opinions, merge, and add one change point at step k that refreshes
+        the distances of the robots that changed, the sensed ids included.
 
         A group whose members hold bitwise-identical opinions is skipped:
         fusing equal opinions returns them unchanged. Members with equal
@@ -489,38 +492,31 @@ class World:
         fusing robot then marks the nodes where its fused PMF exceeds the
         nominal one; that need not be the union of the group's sets.
         """
-        masks, opinions, level, changed = self.masks, self._opinions, self.config.level, []
-        for a, col in senses:
-            if not masks[a, col]:
-                masks[a, col] = True
-                changed.append(a)
-        if changed:
-            opinions[changed] = occupancy.pmf_rows(masks[changed], level)
+        masks, opinions, level = self.masks, self._opinions, self.config.level
+        changed = list(sensed)
         idx, fused = [], []
-        if meets:
-            neighbor_sets, groups = build_comm_graph(self.positions, self.grid,
-                                                     self.config.comm_radius)
-            for _, members in groups:
-                rows = [opinions[b - 1] for b in members]
-                first = rows[0].tobytes()
-                if all(row.tobytes() == first for row in rows[1:]):
-                    continue
-                idx += [b - 1 for b in members]
-                if self.config.comm_radius < self.grid.spacing:
-                    own = fusion.metropolis_weights(
-                        members[0], dict.fromkeys(members[1:], len(members) - 1)).weights
-                    s, w = own[members[0]], own[members[1]]  # when s == w, one list for all
-                    out = [fusion.chernoff_fuse([(row, s if b == a else w)
-                                                 for b, row in zip(members, rows)])
-                           for a in (members if s != w else members[:1])]
-                    fused += out if s != w else out * len(members)
-                    continue
-                lists = [tuple(sorted(fusion.metropolis_weights(
-                    a, {b: len(neighbor_sets[b]) for b in neighbor_sets[a]}).items()))
-                    for a in members]
-                by_list = {key: fusion.chernoff_fuse([(opinions[b - 1], w) for b, w in key])
-                           for key in set(lists)}
-                fused += [by_list[key] for key in lists]
+        neighbor_sets, groups = build_comm_graph(self.positions, self.grid, self.config.comm_radius)
+        for _, members in groups:
+            rows = [opinions[b - 1] for b in members]
+            first = rows[0].tobytes()
+            if all(row.tobytes() == first for row in rows[1:]):
+                continue
+            idx += [b - 1 for b in members]
+            if self.config.comm_radius < self.grid.spacing:
+                own = fusion.metropolis_weights(
+                    members[0], dict.fromkeys(members[1:], len(members) - 1)).weights
+                s, w = own[members[0]], own[members[1]]  # when s == w, one list for all
+                out = [fusion.chernoff_fuse([(row, s if b == a else w)
+                                             for b, row in zip(members, rows)])
+                       for a in (members if s != w else members[:1])]
+                fused += out if s != w else out * len(members)
+                continue
+            lists = [tuple(sorted(fusion.metropolis_weights(
+                a, {b: len(neighbor_sets[b]) for b in neighbor_sets[a]}).items()))
+                for a in members]
+            by_list = {key: fusion.chernoff_fuse([(opinions[b - 1], w) for b, w in key])
+                       for key in set(lists)}
+            fused += [by_list[key] for key in lists]
         if idx:
             fused, before = np.array(fused), masks[idx]
             gain = (fused > self.field.f_nom) > before
@@ -541,7 +537,8 @@ class World:
             row = self.dh.copy()
             row[indices] = hellinger_batch(opinions[indices], self.field.f_ref)
             row.flags.writeable = False
-            self.dh = row
+            self.change_steps.append(self.k)
+            self.change_rows.append(row)
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -557,24 +554,19 @@ def run(config: RunConfig) -> RunTrace:
     eps = cfg.epsilon
     snapshot_at = set(int(k) for k in cfg.snapshot_steps)
 
-    cuts = snapshot_at | {cfg.max_steps}  # where a quiet stretch must stop
-    steps, rows, snapshots, convergence_step = [0], [world.dh], {}, None
+    cuts = sorted(snapshot_at | {cfg.max_steps})  # where a quiet stretch must stop
+    snapshots, convergence_step = {}, None
     while convergence_step is None:
         if world.k in snapshot_at:
             snapshots[world.k] = world.opinions()
-        if steps[-1] == world.k and rows[-1].max() < eps:
+        if world.change_steps[-1] == world.k and world.dh.max() < eps:
             convergence_step = world.k
         elif world.k == cfg.max_steps:
             break
-        elif world.k + 1 in world._meetings[-1:]:
-            row = world.tick()
-            if row is not rows[-1]:  # a shared row means no distance changed
-                steps.append(world.k)
-                rows.append(row)
         else:
-            world._quiet(min(k for k in cuts if k > world.k), eps, steps, rows)
+            world.tick(cuts[bisect.bisect(cuts, world.k)])
 
-    change_steps, change_rows = np.array(steps), np.array(rows)
+    change_steps, change_rows = np.array(world.change_steps), np.array(world.change_rows)
     rose = change_rows[1:] > change_rows[:-1] + MONOTONE_SLACK
     if cfg.carry == "occupancy" and rose.any():
         j, a = divmod(int(np.argmax(rose)), rose.shape[1])  # the first rise, by step

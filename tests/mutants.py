@@ -93,14 +93,12 @@ MUTANTS = (
     Mutant(
         "sense a planned landing on a feature fusion taught the robot since planning",
         "src/gridfusion/engine.py",
-        "            if not masks[a, col]:\n                masks[a, col] = True\n"
-        "                changed.append(a)",
-        "            if True:\n                masks[a, col] = True\n"
-        "                changed.append(a)",
+        "if not masks[a, col]:  # a first landing, and fusion did not teach it since planning",
+        "if True:  # a first landing, and fusion did not teach it since planning",
         ("tests/test_engine_differential.py",),
     ),
     Mutant(
-        "drop the first-landing filter in a stretch",
+        "sense a repeat landing within a block again",
         "src/gridfusion/engine.py",
         "if not masks[a, col]:  # a first landing",
         "if True:  # a first landing",
@@ -109,11 +107,18 @@ MUTANTS = (
     Mutant(
         "apply a stretch's landings past its convergence step",
         "src/gridfusion/engine.py",
-        "            for _, a, col in landed[j + 1:]:  # past the convergence step\n"
-        "                masks[a, col] = False\n"
-        "            last = {a: i for i, (_, a, _) in enumerate(landed[:j + 1])}",
-        "            last = {a: i for i, (_, a, _) in enumerate(landed)}",
+        "                for _, a, col in landed[j + 1:]:  # past the convergence step\n"
+        "                    masks[a, col] = False\n"
+        "                del landed[j + 1:]\n",
+        "",
         ("tests/test_engine.py::test_a_stretch_stops_at_convergence_before_a_later_landing",),
+    ),
+    Mutant(
+        "leave a meeting step's sensed robots out of the fusion pass's distance batch",
+        "src/gridfusion/engine.py",
+        "changed = list(sensed)",
+        "changed = []",
+        ("tests/test_engine.py::test_a_step_that_senses_and_fuses_makes_one_change_point",),
     ),
     Mutant(
         "skip the monotone check, the only one a stretch gets",

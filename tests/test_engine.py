@@ -279,6 +279,28 @@ def test_fusion_unions_occupied_sets_through_a_tick():
         assert (np.flatnonzero(world.masks[idx]) + 1).tolist() == [19, 20]
 
 
+def test_a_step_that_senses_and_fuses_makes_one_change_point(monkeypatch):
+    # frozen seed: robots 1 and 2 step from node 27 onto feature 26, which
+    # neither knows, and fuse there, while robot 3 senses feature 46 alone
+    seed = 49
+    masks = np.zeros((3, 64), dtype=bool)
+    masks[0, 19 - 1] = masks[1, 20 - 1] = True
+    streams = [RngStream.from_seed(seed, a) for a in (1, 2, 3)]
+    world = World(RunConfig(robot_count=3, seed=seed), [27, 27, 45], masks, streams)
+    batches, real = [], engine.hellinger_batch
+    monkeypatch.setattr(engine, "hellinger_batch",
+                        lambda pmfs, g: batches.append(len(pmfs)) or real(pmfs, g))
+    row = world.tick()
+    assert world.positions.tolist() == [26, 26, 46]
+    known = [(np.flatnonzero(mask) + 1).tolist() for mask in world.masks]
+    assert known == [[19, 20, 26], [19, 20, 26], [46]]
+    # sensing and fusion share the step's one distance batch and change point
+    assert batches == [3]
+    assert world.change_steps == [0, 1] and world.change_rows[-1] is row is world.dh
+    fresh = real(occupancy.pmf_rows(world.masks, 0.8), world.field.f_ref)
+    assert row.tobytes() == fresh.tobytes()
+
+
 def fusing_world(positions, comm_radius=0.0, carry="occupancy"):
     """A World with robots at the given nodes, robot a knowing only feature a."""
     n = len(positions)
@@ -297,7 +319,7 @@ def fusion_calls(monkeypatch, world):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(fusion, name, counted)
-    world._event_tick([], True)
+    world._fuse([])
     return calls["chernoff_fuse"], calls["metropolis_weights"]
 
 
@@ -330,7 +352,7 @@ def test_fusion_pass_equals_fusing_each_group_alone(monkeypatch, carry):
     triple = fusing_world([1, 2, 9, 9, 9], carry=carry)
     assert fusion_calls(monkeypatch, both) == (1 + 3, 2)
     for world in (pair, triple):
-        world._event_tick([], True)
+        world._fuse([])
     for got, alone in ((both.masks, (pair.masks, triple.masks)),
                        (both.opinions(), (pair.opinions(), triple.opinions()))):
         assert got.tobytes() == np.concatenate((alone[0][:2], alone[1][2:])).tobytes()
@@ -348,7 +370,7 @@ def test_fusion_pass_names_the_first_robot_that_marks_a_non_feature_node():
     world.k = 7
     with pytest.raises(EngineInvariantError,
                        match=r"^robot 3 marked a node outside .*\(seed=0, step=7\)$"):
-        world._event_tick([], True)
+        world._fuse([])
 
 
 def test_world_senses_exactly_the_features_it_lands_on():
@@ -604,7 +626,38 @@ def assert_run_matches_ticks(monkeypatch, config):
     ran = worlds[0]
     assert ran.k == world.k and ran.positions.tolist() == world.positions.tolist()
     assert np.array_equal(ran.masks, world.masks)
+    # both Worlds keep the record that the trace reports
+    for kept in (ran, world):
+        assert kept.change_steps == steps
+        assert np.array(kept.change_rows).tobytes() == trace.change_rows.tobytes()
     return world
+
+
+@pytest.mark.parametrize("limit", [5, PLAN_TICKS + 40])
+def test_a_limited_tick_stops_before_a_meeting_at_a_block_end_or_at_its_limit(limit):
+    # seed 1 plans 15 meetings in the first block, from step 17 to 120, and
+    # none up to step 168; epsilon is too small for the run to converge
+    config = RunConfig(robot_count=3, seed=1, epsilon=1e-9)
+    world = World.from_config(config)
+    path = [world.positions.tolist()]
+    for _ in range(limit + 1):
+        world.tick()
+        path.append(world.positions.tolist())
+    meetings = {k for k, nodes in enumerate(path) if len(set(nodes)) < len(nodes)}
+    # a meeting step is taken alone, after a stretch up to the step before it
+    stops = {m - 1 for m in meetings} | meetings | {PLAN_TICKS, limit}
+    world, got = World.from_config(config), []
+    while world.k < limit:
+        world.tick(limit)
+        got.append(world.k)
+        assert world.positions.tolist() == path[world.k]
+    assert got == sorted(k for k in stops if 0 < k <= limit)
+    # the limit ends the first stretch, or the step before the first meeting
+    # does and the meeting follows alone; the block's last step ends one
+    assert got[:2] == ([5] if limit < 16 else [16, 17])
+    assert (PLAN_TICKS in got) == (limit > PLAN_TICKS)
+    world.tick(world.k)  # a limit that is already reached still takes a step
+    assert world.k == limit + 1 and world.positions.tolist() == path[limit + 1]
 
 
 def test_a_stretch_stops_at_convergence_before_a_later_landing(monkeypatch):
@@ -636,7 +689,7 @@ def test_a_stretch_senses_a_repeat_landing_once(monkeypatch):
     assert_run_matches_ticks(monkeypatch, config)
     # some robot lands again, within the block, on a feature it first found there
     world = World.from_config(config)
-    found, repeats = {}, 0
+    found, repeats, firsts = {}, 0, set()
     for _ in range(config.max_steps):
         block = world.k // PLAN_TICKS
         before = world.masks.copy()
@@ -644,9 +697,13 @@ def test_a_stretch_senses_a_repeat_landing_once(monkeypatch):
         for a, col in enumerate((world.positions - 1).tolist()):
             if world.field.mask[col] and not before[a, col]:
                 found[a, col] = block
+                firsts.add(world.k)
             elif found.get((a, col)) == block:
                 repeats += 1
     assert repeats
+    # run and the step loop share the stepping code, so check it against the
+    # landings: only a step with a first landing changes a distance
+    assert run(config).change_steps.tolist() == [0] + sorted(firsts)
 
 
 @pytest.mark.parametrize("floats", [1, 3 * 64])
