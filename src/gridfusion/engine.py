@@ -359,8 +359,9 @@ class World:
     the feature field are the config's SharedParts, which every World of
     that config reads.
 
-    tick() is the one stepping method: it moves the robots along the blocks
-    _plan planned, a step or a quiet stretch at a time, senses and fuses.
+    tick(limit) is the one stepping method: it moves the robots along the
+    blocks _plan planned, a quiet stretch or a meeting step at a time,
+    senses and fuses.
     The run's distance record is kept as change points: change_rows[j]
     holds every robot's distance from step change_steps[j] on.
     """
@@ -415,9 +416,9 @@ class World:
         """The per-robot distances to the reference: the last change row."""
         return self.change_rows[-1]
 
-    def tick(self, limit: Optional[int] = None) -> np.ndarray:
-        """Take one step, or with a limit the quiet steps after k up to limit,
-        the block's end or the step before the next meeting, but at least one;
+    def tick(self, limit: int) -> np.ndarray:
+        """Take the quiet steps after k up to limit, the block's end or the
+        step before the next meeting, but at least one (tick(k) takes one);
         a meeting step is taken alone. Return the per-robot distances to the
         reference: a read-only row, the same object until a distance changes.
 
@@ -437,7 +438,7 @@ class World:
         if meets:
             self._meetings.pop()
         end = step
-        if limit is not None and not meets:  # a stretch, which ends before the next meeting
+        if not meets:  # a stretch, which ends before the next meeting
             end = max(step, min(limit, self._first + PLAN_TICKS - 1))
             if self._meetings:
                 end = min(end, self._meetings[-1] - 1)
@@ -550,36 +551,34 @@ def run(config: RunConfig) -> RunTrace:
     Fully deterministic given config.seed.
     """
     world = World.from_config(config)
-    cfg = world.config
-    eps = cfg.epsilon
-    snapshot_at = set(int(k) for k in cfg.snapshot_steps)
-
-    cuts = sorted(snapshot_at | {cfg.max_steps})  # where a quiet stretch must stop
+    eps = config.epsilon
+    snapshot_at = set(int(k) for k in config.snapshot_steps)
+    cuts = sorted(snapshot_at | {config.max_steps})  # where a quiet stretch must stop
     snapshots, convergence_step = {}, None
     while convergence_step is None:
         if world.k in snapshot_at:
             snapshots[world.k] = world.opinions()
         if world.change_steps[-1] == world.k and world.dh.max() < eps:
             convergence_step = world.k
-        elif world.k == cfg.max_steps:
+        elif world.k == config.max_steps:
             break
         else:
             world.tick(cuts[bisect.bisect(cuts, world.k)])
 
     change_steps, change_rows = np.array(world.change_steps), np.array(world.change_rows)
     rose = change_rows[1:] > change_rows[:-1] + MONOTONE_SLACK
-    if cfg.carry == "occupancy" and rose.any():
+    if config.carry == "occupancy" and rose.any():
         j, a = divmod(int(np.argmax(rose)), rose.shape[1])  # the first rise, by step
         raise EngineInvariantError(
             f"robot {a + 1} distance rose from {change_rows[j, a]} to {change_rows[j + 1, a]} "
-            f"(seed={cfg.seed}, step={change_steps[j + 1]})")
+            f"(seed={config.seed}, step={change_steps[j + 1]})")
     # distances hold between change points, so a robot's first change point
     # below epsilon is its first step below it
     below = change_rows < eps
     robot_convergence = tuple(step if hit else None for step, hit in
                               zip(change_steps[below.argmax(axis=0)].tolist(), below.any(axis=0)))
     return RunTrace(
-        seed=cfg.seed,
+        seed=config.seed,
         change_steps=change_steps,
         change_rows=change_rows,
         step_count=world.k,

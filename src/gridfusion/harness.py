@@ -215,13 +215,11 @@ def emit_outputs(traces_by_block, summary: McSummary, out_dir, side_count: int,
     so identical inputs produce byte-identical directory contents.
     """
     out = Path(out_dir)
-    trace_dir = out / "traces"
-    snap_dir = out / "snapshots"
-    out.mkdir(parents=True, exist_ok=True)
-    trace_dir.mkdir(exist_ok=True)
-    snap_dir.mkdir(exist_ok=True)
+    trace_dir, snap_dir = out / "traces", out / "snapshots"
     written = []
     try:
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        snap_dir.mkdir(parents=True, exist_ok=True)
         for (mode, n), traces in sorted(traces_by_block.items()):
             for i, trace in enumerate(traces):
                 tpath = trace_dir / f"{mode}_N{n:02d}_run{i:04d}.csv"

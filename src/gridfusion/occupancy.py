@@ -59,7 +59,7 @@ class FeatureField:
 
     node_count: int
     occupied: frozenset
-    level: float = 0.8
+    level: float
     mask: np.ndarray = field(init=False, repr=False)
     f_ref: np.ndarray = field(init=False, repr=False)
     f_nom: np.ndarray = field(init=False, repr=False)

@@ -135,11 +135,11 @@ def stationary_from_degrees(grid: SpatialGrid) -> np.ndarray:
     return w / w.sum()
 
 
-def stationary_distribution(matrix, tol: float = 1e-12, max_iterations: int = 200_000) -> np.ndarray:
-    """Stationary distribution by power iteration to an L1 residual below tol.
+def stationary_distribution(matrix, max_iterations: int = 200_000) -> np.ndarray:
+    """Stationary distribution by power iteration to an L1 residual below 1e-12.
 
     Works for dense arrays and scipy sparse matrices. Raises ValueError if the
-    residual does not drop below tol within max_iterations (malformed matrix).
+    residual does not drop below 1e-12 within max_iterations (malformed matrix).
     """
     n = matrix.shape[0]
     if matrix.shape != (n, n):
@@ -148,11 +148,11 @@ def stationary_distribution(matrix, tol: float = 1e-12, max_iterations: int = 20
     for _ in range(max_iterations):
         nxt = pi @ matrix
         nxt = np.asarray(nxt).reshape(n)
-        if np.abs(nxt - pi).sum() < tol:
+        if np.abs(nxt - pi).sum() < 1e-12:
             return nxt / nxt.sum()
         pi = nxt
     raise ValueError(
-        f"power iteration did not reach residual {tol} in {max_iterations} iterations"
+        f"power iteration did not reach residual 1e-12 in {max_iterations} iterations"
     )
 
 

@@ -123,7 +123,7 @@ MUTANTS = (
     Mutant(
         "skip the monotone check, the only one a stretch gets",
         "src/gridfusion/engine.py",
-        'if cfg.carry == "occupancy" and rose.any():',
+        'if config.carry == "occupancy" and rose.any():',
         "if False:",
         ("tests/test_engine.py::test_rising_distance_raises_with_seed_and_step",),
     ),
@@ -265,6 +265,33 @@ MUTANTS = (
         "(2, 3, 4))",
         "(2, 3, 3))",
         ("tests/test_engine.py::test_walk_table_matches_the_floor_rule",),
+    ),
+    Mutant(
+        "take the overlaps as one matrix-vector product, rounded by batch",
+        "src/gridfusion/metrics.py",
+        "np.sqrt(pmfs * g).sum(axis=1)",
+        "np.sqrt(pmfs) @ np.sqrt(g)",
+        ("tests/test_metrics.py::test_hellinger_batch_matches_scalar",),
+    ),
+    Mutant(
+        "take the normalizers as one matrix-vector product, rounded by batch",
+        "src/gridfusion/occupancy.py",
+        "vals / vals.sum(axis=1, keepdims=True)",
+        "vals / (vals @ np.ones(vals.shape[1]))[:, None]",
+        ("tests/test_occupancy.py::test_pmf_rows_match_pmf_from_occupancy_bitwise",),
+    ),
+    Mutant(
+        "make the output tree outside the OSError context",
+        "src/gridfusion/harness.py",
+        "    written = []\n"
+        "    try:\n"
+        "        trace_dir.mkdir(parents=True, exist_ok=True)\n"
+        "        snap_dir.mkdir(parents=True, exist_ok=True)\n",
+        "    written = []\n"
+        "    trace_dir.mkdir(parents=True, exist_ok=True)\n"
+        "    snap_dir.mkdir(parents=True, exist_ok=True)\n"
+        "    try:\n",
+        ("tests/test_harness.py::test_emit_outputs_names_its_tree_when_it_cannot_make_it",),
     ),
 )
 

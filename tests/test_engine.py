@@ -257,7 +257,7 @@ def test_colocated_nominal_robots_stay_nominal():
                     epsilon=1e-9, seed=4)
     world = World.from_config(cfg)
     for _ in range(3):
-        world.tick()
+        world.tick(world.k)
         assert world.positions.tolist() == [1, 1]
     assert not world.masks.any()
     assert np.array_equal(world.opinions(), np.tile(world.field.f_nom, (2, 1)))
@@ -272,7 +272,7 @@ def test_fusion_unions_occupied_sets_through_a_tick():
     masks[1, 20 - 1] = True
     streams = [RngStream.from_seed(seed, a) for a in (1, 2)]
     world = World(RunConfig(robot_count=2, seed=seed), [36, 36], masks, streams)
-    world.tick()
+    world.tick(world.k)
     assert world.positions[0] == world.positions[1]
     assert world.positions[0] not in DEFAULT_FEATURES
     for idx in range(2):
@@ -290,7 +290,7 @@ def test_a_step_that_senses_and_fuses_makes_one_change_point(monkeypatch):
     batches, real = [], engine.hellinger_batch
     monkeypatch.setattr(engine, "hellinger_batch",
                         lambda pmfs, g: batches.append(len(pmfs)) or real(pmfs, g))
-    row = world.tick()
+    row = world.tick(world.k)
     assert world.positions.tolist() == [26, 26, 46]
     known = [(np.flatnonzero(mask) + 1).tolist() for mask in world.masks]
     assert known == [[19, 20, 26], [19, 20, 26], [46]]
@@ -383,7 +383,7 @@ def test_world_senses_exactly_the_features_it_lands_on():
     landed = np.zeros((3, 64), dtype=bool)
     for _ in range(300):
         before = world.masks.copy()
-        world.tick()
+        world.tick(world.k)
         landed[:] = False
         landed[np.arange(3), world.positions - 1] = True
         # a feature landed on is marked, anything else is left as it was
@@ -396,7 +396,7 @@ def test_world_copies_its_input_arrays():
     masks = np.zeros((2, 64), dtype=bool)
     world = World(small_config(), positions, masks, [RngStream.from_seed(0, a) for a in (1, 2)])
     for _ in range(100):
-        world.tick()
+        world.tick(world.k)
     assert world.masks[:, 19 - 1].all()
     assert positions.tolist() == [19, 19] and not masks.any()
 
@@ -420,7 +420,7 @@ def test_mode_equivalence_without_encounters():
     cfg = small_config(seed=2, max_steps=60, epsilon=1e-9)
     world = World.from_config(cfg)
     for _ in range(cfg.max_steps):
-        world.tick()
+        world.tick(world.k)
         assert world.positions[0] != world.positions[1]
     consensus = run(cfg)
     baseline = run(dataclasses.replace(cfg, mode="no-consensus"))
@@ -439,7 +439,7 @@ def test_walks_are_shared_across_modes_and_robot_counts():
     for step in range(101):
         if step:
             for world in worlds.values():
-                world.tick()
+                world.tick(world.k)
         paths = {key: world.positions[:4].tolist() for key, world in worlds.items()}
         reference = paths[("no-consensus", 4)]
         for key, path in paths.items():
@@ -456,8 +456,8 @@ def test_permuting_robot_ids_permutes_the_trace():
     )
     rows_ref, rows_perm = [], []
     for _ in range(40):
-        rows_ref.append(reference.tick())
-        rows_perm.append(permuted.tick())
+        rows_ref.append(reference.tick(reference.k))
+        rows_perm.append(permuted.tick(permuted.k))
     ref = np.array(rows_ref)
     per = np.array(rows_perm)
     assert np.array_equal(per, ref[:, perm])
@@ -519,7 +519,7 @@ def test_chernoff_carry_runs_deterministically():
     # occupancy vectors stay inside the feature set even with raw carry
     world = World.from_config(cfg)
     for _ in range(cfg.max_steps):
-        world.tick()
+        world.tick(world.k)
     assert world.masks.any() and not np.any(world.masks & ~world.field.mask)
 
 
@@ -542,7 +542,7 @@ def test_chernoff_carry_settles_on_the_geometric_mean_at_completion(comm_radius,
                                         comm_radius=comm_radius))
     limit = None
     for _ in range(3000):
-        world.tick()
+        world.tick(world.k)
         if limit is None and (world.masks == world.field.mask).all():
             limit = geometric_mean(world.opinions())
     assert limit is not None
@@ -555,7 +555,7 @@ def test_occupancy_carry_opinions_are_their_masks_pmfs(comm_radius, robot_count)
     cfg = RunConfig(robot_count=robot_count, seed=robot_count, comm_radius=comm_radius)
     world = World.from_config(cfg)
     for _ in range(400):
-        world.tick()
+        world.tick(world.k)
         expected = occupancy.pmf_rows(world.masks, cfg.level)
         assert world.opinions().tobytes() == expected.tobytes()
 
@@ -592,7 +592,7 @@ def tick_by_tick(config):
     if 0 in snapshot_at:
         snapshots[0] = world.opinions()
     while not converged and world.k < config.max_steps:
-        row = world.tick()
+        row = world.tick(world.k)
         if row is not rows[-1]:
             steps.append(world.k)
             rows.append(row)
@@ -641,7 +641,7 @@ def test_a_limited_tick_stops_before_a_meeting_at_a_block_end_or_at_its_limit(li
     world = World.from_config(config)
     path = [world.positions.tolist()]
     for _ in range(limit + 1):
-        world.tick()
+        world.tick(world.k)
         path.append(world.positions.tolist())
     meetings = {k for k, nodes in enumerate(path) if len(set(nodes)) < len(nodes)}
     # a meeting step is taken alone, after a stretch up to the step before it
@@ -693,7 +693,7 @@ def test_a_stretch_senses_a_repeat_landing_once(monkeypatch):
     for _ in range(config.max_steps):
         block = world.k // PLAN_TICKS
         before = world.masks.copy()
-        world.tick()
+        world.tick(world.k)
         for a, col in enumerate((world.positions - 1).tolist()):
             if world.field.mask[col] and not before[a, col]:
                 found[a, col] = block
@@ -869,7 +869,7 @@ def test_a_dropped_world_is_freed_without_the_cyclic_gc():
     try:
         world = World.from_config(RunConfig(seed=3))
         for _ in range(PLAN_TICKS + 1):
-            world.tick()
+            world.tick(world.k)
         freed = weakref.ref(world)
         del world
         assert freed() is None

@@ -20,7 +20,11 @@ robot's known set) is absorbed exactly when every robot knows every
 feature, which, with epsilon below H(f - 1), is the run's convergence step.
 The expected absorption time t solves (I - Q) t = 1 over the transient
 states (Kemeny & Snell, *Finite Markov Chains*, ch. 3); the runs start from
-independent uniform placements with nothing known at step 0.
+independent uniform placements with nothing known at step 0. The same Q,
+applied to the starting distribution until less than 1e-12 of its mass is
+unabsorbed, gives P(T <= t) at every step, and the runs' empirical CDF must
+lie within the Dvoretzky-Kiefer-Wolfowitz bound of it (with Massart's 1990
+constant, sqrt(ln(2 / alpha) / 2n) = 0.043 at n = 4,000 and alpha = 1e-6).
 
 Two features on 2x2 are left out: at level 0.8 a pair that knows one
 feature twice and the other once sits on an exact tie, 4 * 2 against
@@ -44,10 +48,12 @@ from gridfusion.spatial import build_grid
 
 RUNS = 4000
 MASTER_SEED = 12345
+DKW_BOUND = math.sqrt(math.log(2 / 1e-6) / (2 * RUNS))
 
 
-def exact_mean_convergence_step(config):
-    """(mean absorption time from uniform placements, transient state count,
+def exact_convergence(config):
+    """(mean absorption time from uniform placements, P(T <= t) for t = 0, 1,
+    ... until the unabsorbed mass is below 1e-12, transient state count,
     transitions in which some robot's merge is not its group's union).
 
     A group is a connected set of robots in range, and each member merges
@@ -132,11 +138,18 @@ def exact_mean_convergence_step(config):
     q = scipy.sparse.coo_matrix((probs, (rows, cols)), shape=(size, size)).tocsc()
     t = spsolve(scipy.sparse.identity(size, format="csc") - q, np.ones(size))
     starts = [index[(nodes, (0,) * robots)] for nodes in placements]
-    return float(t[starts].mean()), size, non_union
+    mass, step = np.zeros(size), q.T.tocsr()
+    mass[starts] = 1.0 / len(starts)
+    cdf = [0.0]  # nothing is known at step 0
+    while cdf[-1] < 1.0 - 1e-12:
+        mass = step @ mass
+        cdf.append(1.0 - mass.sum())
+    return float(t[starts].mean()), np.array(cdf), size, non_union
 
 
 def consensus_z_score(config, cliques=True) -> float:
-    """z of the run_batch mean convergence step against the exact chain's.
+    """z of the run_batch mean convergence step against the exact chain's,
+    after checking the runs' CDF of convergence steps against the chain's.
     With cliques, every merge of the chain is its group's union; without,
     some are not."""
     field = config.feature_field()
@@ -145,7 +158,7 @@ def consensus_z_score(config, cliques=True) -> float:
     # a robot that misses a feature is not converged, so convergence is absorption
     assert hellinger_batch(pmf_rows(missing_one[None], config.level), field.f_ref)[0] > 1e-6
 
-    exact, size, non_union = exact_mean_convergence_step(config)
+    exact, cdf, size, non_union = exact_convergence(config)
     assert (non_union == 0) == cliques
     # every combination of known sets but the full one, at every placement
     n, f, robots = config.side_count ** 2, field.mask.sum(), config.robot_count
@@ -153,6 +166,10 @@ def consensus_z_score(config, cliques=True) -> float:
     traces = run_batch(config, RUNS, MASTER_SEED)
     assert not any(trace.censored for trace in traces)
     steps = np.array([trace.convergence_step for trace in traces], dtype=float)
+    ts = np.arange(max(len(cdf), int(steps.max()) + 1))
+    empirical = np.searchsorted(np.sort(steps), ts, side="right") / RUNS
+    gap = np.abs(empirical - cdf[np.minimum(ts, len(cdf) - 1)]).max()
+    assert gap <= DKW_BOUND, f"CDF gap {gap:.4f} above {DKW_BOUND:.4f}"
     return (steps.mean() - exact) / (steps.std(ddof=1) / np.sqrt(RUNS))
 
 

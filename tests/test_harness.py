@@ -277,6 +277,16 @@ def test_emit_outputs_layout(tmp_path):
     assert doc["step_seconds"] == 1.0
 
 
+def test_emit_outputs_names_its_tree_when_it_cannot_make_it(tmp_path):
+    config = tiny_config()
+    summary, traces = run_sweep(config, [2], ["consensus"], runs=1, master_seed=8)
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    out = tmp_path / "taken" / "out"
+    with pytest.raises(OSError) as caught:
+        emit_outputs(traces, summary, out, 8, reference_pmf=config.feature_field().f_ref)
+    assert str(caught.value).startswith(f"failed writing outputs under {out}: ")
+
+
 def test_numpy_config_values_write_the_same_summary(tmp_path):
     def summary_bytes(out, config, counts, master_seed):
         summary, traces = run_sweep(config, counts, ["consensus"], runs=2,

@@ -5,7 +5,8 @@ import pytest
 
 from gridfusion.engine import DEFAULT_FEATURES, RunConfig, World, run
 from gridfusion.metrics import hellinger, hellinger_batch
-from gridfusion.occupancy import FeatureField
+from gridfusion.fusion import chernoff_fuse
+from gridfusion.occupancy import FeatureField, pmf_rows
 
 
 def random_pmf(rng, size):
@@ -58,14 +59,24 @@ def test_hellinger_triangle_inequality():
         assert hellinger(f, h) <= hellinger(f, g) + hellinger(g, h) + 1e-12
 
 
-def test_hellinger_batch_matches_scalar():
-    rng = np.random.default_rng(5)
-    g = random_pmf(rng, 20)
-    rows = np.array([random_pmf(rng, 20) for _ in range(6)] + [g])
-    batch = hellinger_batch(rows, g)
-    for row, d in zip(rows, batch):
-        assert d == hellinger(row, g)
-    assert batch[-1] == 0.0
+@pytest.mark.parametrize("size", [20, 64, 4096])
+def test_hellinger_batch_matches_scalar(size):
+    # stretches and meeting steps get their distances from one call on
+    # whatever rows changed, so each row's distance must be bitwise the one
+    # it gets alone: mask PMFs, fused rows that are no mask's PMF, any PMF
+    rng = np.random.default_rng(size)
+    reference = pmf_rows(rng.random((1, size)) < 0.1, 0.8)[0]
+    pmfs = pmf_rows(rng.random((8, size)) < rng.uniform(0.2, 0.5, (8, 1)), 0.8)
+    fused = [chernoff_fuse([(pmfs[a], w), (pmfs[(a + 1) % 8], 1 - w)])
+             for a, w in enumerate(rng.uniform(0.2, 0.8, 8))]
+    rows = np.array([*pmfs, *fused, *(random_pmf(rng, size) for _ in range(4)), reference])
+    alone = np.array([hellinger(row, reference) for row in rows])
+    assert alone[-1] == 0.0 and all(np.unique(row).size > 2 for row in fused)
+    for count in range(1, 9):
+        for _ in range(10):
+            picked = rng.permutation(len(rows))[:count]
+            assert hellinger_batch(rows[picked], reference).tobytes() == alone[picked].tobytes()
+    assert hellinger_batch(rows, reference).tobytes() == alone.tobytes()
 
 
 def test_hellinger_batch_identical_rows_are_exactly_zero():
@@ -108,10 +119,10 @@ def test_run_robot_exactly_at_epsilon_has_not_converged():
 
 def test_tick_row_is_read_only_and_shared_until_a_distance_changes():
     world = World.from_config(RunConfig(seed=1, robot_count=8))
-    previous = world.tick()
+    previous = world.tick(world.k)
     changes = 0
     for _ in range(300):
-        row = world.tick()
+        row = world.tick(world.k)
         assert not row.flags.writeable
         with pytest.raises(ValueError):
             row[0] = 0.5

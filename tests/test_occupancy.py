@@ -70,12 +70,17 @@ def test_pmf_scale_invariance():
 
 
 def test_pmf_rows_match_pmf_from_occupancy_bitwise():
+    # a stretch or a meeting step normalizes whatever rows it stacked in one
+    # call, so every row of any batch must be bitwise the row normalized alone
     rng = np.random.default_rng(8)
     for size in (4, 64, 4096, 65536):
-        masks = rng.random((5, size)) < rng.random((5, 1))
-        rows = pmf_rows(masks, 0.8)
-        for mask, row in zip(masks, rows):
-            assert row.tobytes() == pmf_from_occupancy(OccupancyVector(mask, 0.8)).tobytes()
+        masks = rng.random((8, size)) < rng.random((8, 1))
+        masks[0], masks[1] = False, True
+        alone = np.array([pmf_from_occupancy(OccupancyVector(mask, 0.8)) for mask in masks])
+        for count in range(1, 9):
+            for _ in range(5):
+                picked = rng.permutation(8)[:count]
+                assert pmf_rows(masks[picked], 0.8).tobytes() == alone[picked].tobytes()
 
 
 def test_pmf_from_occupancy_two_values_at_most():
@@ -93,6 +98,11 @@ def test_feature_field_rejects_out_of_range_nodes():
         FeatureField(node_count=16, occupied=frozenset({17}), level=0.8)
     with pytest.raises(ValueError):
         FeatureField(node_count=16, occupied=frozenset({0}), level=0.8)
+
+
+def test_feature_field_takes_no_default_level():
+    with pytest.raises(TypeError):
+        FeatureField(node_count=16, occupied=frozenset({1}))
 
 
 def test_feature_field_empty_is_valid():
