@@ -13,7 +13,7 @@ import numpy as np
 from . import harness, spatial
 from .engine import CARRY_MODES, MODES, RunConfig
 from .engine import run as run_single
-from .errors import CompositeSizeError, ConfigError, EngineInvariantError
+from .errors import ConfigError, EngineInvariantError
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -99,7 +99,7 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    grid = spatial.build_grid(args.grid_size, args.spacing)
+    grid = spatial.build_grid(args.grid_size, RunConfig.spacing)  # no report field reads it
     p = spatial.build_transition_matrix(grid)
     pi = spatial.stationary_distribution(p)
     closed = spatial.stationary_from_degrees(grid)
@@ -164,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="chain diagnostics for small configurations")
     p_an.add_argument("--grid-size", type=int, required=True)
-    p_an.add_argument("--spacing", type=float, default=0.7)
     p_an.add_argument("--robots", type=int, help="also analyze the N-robot composite chain")
     p_an.add_argument("--max-states", type=int, default=1_000_000)
     p_an.add_argument("--out", type=Path, help="write the JSON report here instead of stdout")
@@ -177,7 +176,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CompositeSizeError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except EngineInvariantError as exc:

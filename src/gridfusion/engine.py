@@ -56,16 +56,14 @@ PLAN_TICKS = 128
 STACK_FLOATS = 1 << 14
 
 # A step picks entry int(u * c) of a node's c choices, and every node has 1,
-# 3, 4 or 5 (the node and its d lattice neighbours). For u in [0, 1) the
-# floors of 3u, 4u and 5u take only these ten triples, one per interval
-# between the breakpoints j/c, so a triple's index, the step key, fixes the
-# pick for every c. _STEP_KEY maps a triple to its key, and _PICK[c][key] is
-# the entry a key picks from c choices (row 0 serves grid.choices' padding
-# row, and no node has 2 choices).
+# 3, 4 or 5 (the node and its d lattice neighbours). As u runs over [0, 1),
+# each breakpoint j/c raises exactly one of the floors of 3u, 4u and 5u by
+# one, so they take only these ten triples, and a triple's sum, the step
+# key, is its index and fixes the pick for every c. _PICK[c][key] is the
+# entry a key picks from c choices (row 0 serves grid.choices' padding row,
+# and no node has 2 choices).
 _TRIPLES = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2),
             (1, 2, 2), (1, 2, 3), (2, 2, 3), (2, 3, 3), (2, 3, 4))
-_STEP_KEY = np.zeros((3, 4, 5), dtype=np.intp)
-_STEP_KEY[tuple(np.array(_TRIPLES).T)] = np.arange(len(_TRIPLES))
 _PICK = np.zeros((6, len(_TRIPLES)), dtype=np.intp)
 _PICK[3:] = np.array(_TRIPLES).T
 
@@ -73,7 +71,7 @@ _PICK[3:] = np.array(_TRIPLES).T
 def _step_keys(u: np.ndarray) -> np.ndarray:
     """The step key of every uniform, from the same products u * c that a
     step truncates."""
-    return _STEP_KEY[(u * 3).astype(np.intp), (u * 4).astype(np.intp), (u * 5).astype(np.intp)]
+    return (u * 3).astype(np.intp) + (u * 4).astype(np.intp) + (u * 5).astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -429,7 +427,7 @@ class World:
         the stack, bitwise as single steps would, and ends before its next
         landing step once the stack holds STACK_FLOATS entries. Every step
         that changes a distance adds a change point. At the first step with
-        every distance below epsilon a stretch stops, undoing later landings.
+        every distance below epsilon a stretch stops and hands later landings back.
         """
         step = self.k + 1
         if step == self._first + PLAN_TICKS:
@@ -467,8 +465,9 @@ class World:
                         if max(row) < self.config.epsilon:
                             end = step
                             break
-                for _, a, col in landed[j + 1:]:  # past the convergence step
+                for step, a, col in landed[:j:-1]:  # past the convergence step, latest first
                     masks[a, col] = False
+                    self._landings.append((step, a, col))
                 del landed[j + 1:]
                 table = np.array(table)
                 table.flags.writeable = False

@@ -5,7 +5,7 @@ class ConfigError(ValueError):
     """Invalid run or batch configuration (bad grid size, level, features, ...)."""
 
 
-class CompositeSizeError(ValueError):
+class CompositeSizeError(ConfigError):
     """Composite chain would exceed the configured state-count cap."""
 
 

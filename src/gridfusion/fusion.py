@@ -44,7 +44,7 @@ def metropolis_weights(robot: int, neighbor_degrees) -> FusionWeights:
     for b, count in neighbor_degrees.items():
         if b == robot:
             raise ValueError("neighbor_degrees must not include the robot itself")
-        if count < 1:
+        if not count >= 1:
             raise ValueError(f"neighbor {b} has neighbor count {count}, expected >= 1")
         weights[b] = 1.0 / (1 + max(own_count, count))
     weights[robot] = 1.0 - sum(weights.values())
@@ -62,7 +62,7 @@ def chernoff_fuse(opinions) -> np.ndarray:
     if not opinions:
         raise ValueError("need at least one opinion to fuse")
     total = sum(w for _, w in opinions)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise ValueError(f"fusion weights sum to {total}, expected 1")
     size = len(opinions[0][0])
     active = []
@@ -72,9 +72,9 @@ def chernoff_fuse(opinions) -> np.ndarray:
             raise ValueError("all opinions must share one support size")
         if weight < 0.0:
             raise ValueError(f"negative fusion weight {weight}")
-        if pmf.min() <= 0.0:
+        if not pmf.min() > 0.0:
             raise ValueError(
-                "opinion has a zero-probability node; occupancy-derived PMFs "
+                "opinion has a node that is not positive; occupancy-derived PMFs "
                 "are strictly positive"
             )
         if weight > 0.0:

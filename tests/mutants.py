@@ -107,11 +107,21 @@ MUTANTS = (
     Mutant(
         "apply a stretch's landings past its convergence step",
         "src/gridfusion/engine.py",
-        "                for _, a, col in landed[j + 1:]:  # past the convergence step\n"
+        "                for step, a, col in landed[:j:-1]:"
+        "  # past the convergence step, latest first\n"
         "                    masks[a, col] = False\n"
+        "                    self._landings.append((step, a, col))\n"
         "                del landed[j + 1:]\n",
         "",
         ("tests/test_engine.py::test_a_stretch_stops_at_convergence_before_a_later_landing",),
+    ),
+    Mutant(
+        "drop the landings a stretch hands back",
+        "src/gridfusion/engine.py",
+        "                    self._landings.append((step, a, col))\n",
+        "",
+        ("tests/test_engine.py::"
+         "test_a_world_ticked_on_past_a_converged_stretch_matches_the_step_loop",),
     ),
     Mutant(
         "leave a meeting step's sensed robots out of the fusion pass's distance batch",
@@ -175,6 +185,13 @@ MUTANTS = (
         "(dist < radius + 0.5)",
         "(dist <= radius + 0.5)",
         ("tests/test_occupancy.py::test_circle_ring_is_half_open_at_exact_distances",),
+    ),
+    Mutant(
+        "let a NaN entry pass the PMF check",
+        "src/gridfusion/fusion.py",
+        "if not pmf.min() > 0.0:",
+        "if pmf.min() <= 0.0:",
+        ("tests/test_fusion.py::test_nan_inputs_are_rejected",),
     ),
     Mutant(
         "take skips a uniform",
@@ -260,7 +277,7 @@ MUTANTS = (
         ("tests/test_engine.py::test_planned_meetings_are_the_steps_with_a_colocated_group",),
     ),
     Mutant(
-        "give the step-key table a wrong top triple",
+        "give the step-key triples a wrong top triple",
         "src/gridfusion/engine.py",
         "(2, 3, 4))",
         "(2, 3, 3))",

@@ -668,6 +668,24 @@ def test_a_stretch_stops_at_convergence_before_a_later_landing(monkeypatch):
     assert any(not world.masks[a, col] for _, a, col in world._landings)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_a_world_ticked_on_past_a_converged_stretch_matches_the_step_loop(seed):
+    config = RunConfig(robot_count=3, mode="no-consensus", epsilon=0.3, seed=seed)
+    world, loop = World.from_config(config), World.from_config(config)
+    world.tick(400)
+    # the stretch stopped at convergence, before the end of its block
+    assert world.dh.max() < config.epsilon and world.k < PLAN_TICKS - 1
+    stop = world.k + 200
+    while world.k < stop:
+        world.tick(world.k)
+    while loop.k < stop:
+        loop.tick(loop.k)
+    assert world.positions.tolist() == loop.positions.tolist()
+    assert np.array_equal(world.masks, loop.masks)
+    assert world.change_steps == loop.change_steps
+    assert np.array(world.change_rows).tobytes() == np.array(loop.change_rows).tobytes()
+
+
 @pytest.mark.parametrize("config", [
     # snapshots inside stretches, and max_steps in the middle of a block
     RunConfig(robot_count=3, mode="no-consensus", seed=4, epsilon=1e-9, max_steps=300,

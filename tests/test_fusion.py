@@ -143,6 +143,24 @@ def test_fuse_rejects_bad_inputs():
         chernoff_fuse([(f, 1.5), (f, -0.5)])
 
 
+NAN = float("nan")
+P, Q = np.full(4, 0.25), np.array([0.1, 0.2, 0.3, 0.4])
+
+
+@pytest.mark.parametrize("fuse", [
+    lambda: chernoff_fuse([(P, NAN), (Q, 1.0)]),
+    lambda: chernoff_fuse([(P, 0.5), (Q, NAN)]),
+    lambda: chernoff_fuse([(P, NAN)]),
+    lambda: chernoff_fuse([(np.array([0.5, 0.5, NAN, 0.0]), 1.0)]),
+    lambda: metropolis_weights(1, {2: NAN}),
+], ids=["nan-weight-first", "nan-weight-last", "nan-weight-alone", "nan-pmf-entry",
+        "nan-neighbor-count"])
+def test_nan_inputs_are_rejected(fuse):
+    # every input check is written so that a NaN fails it
+    with pytest.raises(ValueError):
+        fuse()
+
+
 @st.composite
 def graphs_with_opinions(draw, size=5):
     """A random graph on 1..n (n <= 8) as an edge list, and one strictly
