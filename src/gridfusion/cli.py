@@ -46,7 +46,7 @@ _FLAG_PARSERS = {
 }
 
 
-def _build_config(args, robot_count: int, mode: str) -> tuple:
+def _build_config(args) -> tuple:
     """(RunConfig, the config file's batch section or {}) from --config and flags."""
     config, batch = harness.load_config(args.config) if args.config else (RunConfig(), {})
     overrides = {
@@ -54,13 +54,11 @@ def _build_config(args, robot_count: int, mode: str) -> tuple:
         for f in dataclasses.fields(RunConfig)
         if getattr(args, f.name, None) is not None
     }
-    overrides["robot_count"] = robot_count
-    overrides["mode"] = mode
     return dataclasses.replace(config, **overrides), batch
 
 
 def _cmd_run(args) -> int:
-    config, _ = _build_config(args, args.robots, args.mode)
+    config, _ = _build_config(args)
     trace = run_single(config)
     traces_by_block = {(config.mode, config.robot_count): [trace]}
     harness.emit_outputs(traces_by_block, harness.summarize(config, traces_by_block, config.seed),
@@ -75,11 +73,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    robot_counts = harness.parse_ints(args.robots, "--robots")
-    if not robot_counts:
-        raise ConfigError("--robots must list at least one robot count")
-    modes = list(MODES) if args.mode == "both" else [args.mode]
-    config, batch_section = _build_config(args, robot_counts[0], modes[0])
+    config, batch_section = _build_config(args)
+    robot_counts = (harness.parse_ints(args.robots, "--robots") if args.robots is not None
+                    else [config.robot_count])
+    modes = list(MODES) if args.modes == "both" else [args.modes or config.mode]
     runs = args.runs if args.runs is not None else batch_section.get("runs", 100)
     workers = args.workers if args.workers is not None else batch_section.get("workers", 1)
     summary, traces_by_block = harness.run_sweep(
@@ -149,15 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one seeded run and write its trace")
     _add_run_flags(p_run)
-    p_run.add_argument("--robots", type=int, default=4, help="number of robots")
-    p_run.add_argument("--mode", choices=MODES, default="consensus")
+    p_run.add_argument("--robots", dest="robot_count", type=int, help="number of robots")
+    p_run.add_argument("--mode", choices=MODES)
     p_run.set_defaults(func=_cmd_run)
 
     p_batch = sub.add_parser("batch", help="Monte Carlo batches over robot counts and modes")
     _add_run_flags(p_batch)
-    p_batch.add_argument("--robots", type=str, default="4",
-                         help="robot counts, comma-separated (e.g. 4,8,12,16)")
-    p_batch.add_argument("--mode", choices=MODES + ("both",), default="consensus")
+    p_batch.add_argument("--robots", type=str,
+                         help="robot counts to sweep, e.g. 4,8,12,16 (default: the config's one)")
+    p_batch.add_argument("--mode", dest="modes", choices=MODES + ("both",),
+                         help="modes to sweep (default: the config's one)")
     p_batch.add_argument("--runs", type=int, help="runs per (mode, N) block (default 100)")
     p_batch.add_argument("--workers", type=int, help="worker processes (default 1)")
     p_batch.set_defaults(func=_cmd_batch)

@@ -49,13 +49,15 @@ def _execute_run(args) -> RunTrace:
     return run(dataclasses.replace(config, seed=seed))
 
 
-def _check_runs_and_workers(runs, workers, master_seed) -> None:
+def _busy_workers(runs, workers, master_seed) -> int:
+    """Check a batch's arguments; return the workers its ``runs`` jobs can keep busy."""
     if not _is_int(master_seed) or master_seed < 0:
         raise ConfigError(f"master_seed must be a non-negative integer, got {master_seed!r}")
     if not _is_int(runs) or runs < 1:
         raise ConfigError(f"runs must be a positive integer, got {runs!r}")
     if not _is_int(workers) or workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+    return min(workers, runs)
 
 
 def _pool(workers: int, pool=None):
@@ -76,7 +78,7 @@ def run_batch(config: RunConfig, runs: int, master_seed: int, workers: int = 1, 
     ``pool``, or onto a pool of their own. A run that trips an internal
     invariant aborts the batch; the offending seed is part of the message.
     """
-    _check_runs_and_workers(runs, workers, master_seed)
+    workers = _busy_workers(runs, workers, master_seed)
     jobs = [(config, derive_run_seed(master_seed, i)) for i in range(runs)]
     if workers == 1:
         return [_execute_run(job) for job in jobs]
@@ -162,7 +164,7 @@ def run_sweep(config: RunConfig, robot_counts, modes, runs: int, master_seed: in
     no-consensus comparison; with ``workers > 1`` one pool serves them all.
     Every block is checked before the first run starts.
     Returns (McSummary, {(mode, n): traces})."""
-    _check_runs_and_workers(runs, workers, master_seed)
+    workers = _busy_workers(runs, workers, master_seed)
     # a non-integer count reaches RunConfig as it is, and is rejected there
     counts = [int(n) if _is_int(n) else n for n in robot_counts]
     configs = {(mode, n): dataclasses.replace(config, mode=mode, robot_count=n)

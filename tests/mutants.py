@@ -298,6 +298,21 @@ MUTANTS = (
         ("tests/test_occupancy.py::test_pmf_rows_match_pmf_from_occupancy_bitwise",),
     ),
     Mutant(
+        "_build_config writes the default robot count over the file's",
+        "src/gridfusion/cli.py",
+        "    return dataclasses.replace(config, **overrides), batch",
+        "    overrides = {\"robot_count\": RunConfig.robot_count, **overrides}\n"
+        "    return dataclasses.replace(config, **overrides), batch",
+        ("tests/test_cli.py::test_run_keeps_the_config_file_robot_count_and_mode",),
+    ),
+    Mutant(
+        "size the pool by workers alone",
+        "src/gridfusion/harness.py",
+        "    return min(workers, runs)",
+        "    return workers",
+        ("tests/test_harness.py::test_a_pool_starts_no_more_workers_than_a_block_has_runs",),
+    ),
+    Mutant(
         "make the output tree outside the OSError context",
         "src/gridfusion/harness.py",
         "    written = []\n"

@@ -84,6 +84,38 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert doc["blocks"][0]["robot_count"] == 3
 
 
+NO_CONSENSUS_N3 = ("format: gridfusion-config/1\n"
+                   "run: {robot_count: 3, mode: no-consensus, max_steps: 20}\n")
+
+
+def test_run_keeps_the_config_file_robot_count_and_mode(tmp_path):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(NO_CONSENSUS_N3)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert [p.name for p in (out / "traces").iterdir()] == ["no-consensus_N03_run0000.csv"]
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["config"]["robot_count"] == 3 and doc["config"]["mode"] == "no-consensus"
+    assert [(b["mode"], b["robot_count"]) for b in doc["blocks"]] == [("no-consensus", 3)]
+
+
+@pytest.mark.parametrize("flags,blocks", [
+    ([], [("no-consensus", 3)]),
+    (["--robots", "2,4"], [("no-consensus", 2), ("no-consensus", 4)]),
+    (["--mode", "consensus"], [("consensus", 3)]),
+])
+def test_batch_sweeps_the_config_file_value_of_an_absent_axis(tmp_path, flags, blocks):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(NO_CONSENSUS_N3)
+    out = tmp_path / "o"
+    assert main(["batch", "--config", str(cfg_path), "--runs", "2", *flags,
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    assert [(b["mode"], b["robot_count"]) for b in doc["blocks"]] == blocks
+    assert sorted(p.name for p in (out / "traces").iterdir()) == [
+        f"{mode}_N{n:02d}_run{i:04d}.csv" for mode, n in blocks for i in range(2)]
+
+
 @pytest.mark.parametrize("sections", ["run:\nbatch:\n", "run:\n", "batch:\n", ""])
 def test_empty_config_sections_read_as_empty_mappings(tmp_path, sections):
     cfg_path = tmp_path / "config.yaml"

@@ -141,6 +141,39 @@ def test_sweep_starts_one_pool_and_matches_serial_traces(pools_started):
         assert [pickle.dumps(t) for t in pooled[key]] == [pickle.dumps(t) for t in traces]
 
 
+def test_a_pool_starts_no_more_workers_than_a_block_has_runs(monkeypatch):
+    """Each block maps ``runs`` jobs, so workers past them would start and sit idle."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = tiny_config(max_steps=50)
+    sweep = dict(robot_counts=[2, 3], modes=["consensus"], runs=2, master_seed=4)
+    _, pooled = run_sweep(config, workers=6, **sweep)
+    assert started == [2]
+    assert len(run_batch(config, 3, 4, workers=6)) == 3
+    assert started == [2, 3]
+    # one run keeps one worker busy, so it runs serially
+    run_sweep(config, [2], ["consensus"], 1, 4, workers=6)
+    run_batch(config, 1, 4, workers=6)
+    assert started == [2, 3]
+    _, serial = run_sweep(config, workers=1, **sweep)
+    for key, traces in serial.items():
+        assert [pickle.dumps(t) for t in pooled[key]] == [pickle.dumps(t) for t in traces]
+
+
 def test_summarize_counts_censored_runs():
     traces = run_batch(tiny_config(max_steps=3, epsilon=1e-9), runs=5, master_seed=1)
     block = summarize_block("consensus", 2, traces)
